@@ -1,17 +1,18 @@
 """Exact engine for boundary contributions to the noncommutative residue.
 
-Layers, bottom to top:
+Layers, bottom to top (numpy and scipy are used by the oracle only):
 
 * :mod:`wresbd.ring` -- exact Gaussian-rational scalars and sphere moments;
 * :mod:`wresbd.clifford` -- Clifford/endomorphism words, normal form,
-  symbolic traces for the spin and exterior representations;
+  one symbolic trace rule for the spin and exterior modules;
 * :mod:`wresbd.symbols` -- rational symbols in the normal covariable,
   Wiener-Hopf projections, residue line integral;
 * :mod:`wresbd.catalog` -- operator-family symbol catalogs and the
   composition recursion that rederives them;
 * :mod:`wresbd.boundary` -- case enumeration, exact case evaluation,
   assembly, mean-curvature substitution;
-* :mod:`wresbd.oracle` -- independent seeded numeric cross-check;
+* :mod:`wresbd.oracle` -- independent seeded numeric cross-check, and
+  the only home of the spin and exterior representation matrices;
 * :mod:`wresbd.ledger` / :mod:`wresbd.cli` -- verification reports.
 """
 
@@ -20,10 +21,9 @@ from .boundary import (CASES, BoundaryCase, CaseResult, assemble,
 from .catalog import (DIRAC, FAMILIES, SIGNATURE, CatalogEntry,
                       OperatorFamily, cubed_sigma, first_order_sigma,
                       invert_cubed)
-from .clifford import (CliffordElement, ext_degree_trace, normal_form,
-                       trace_ext, trace_spin)
+from .clifford import CliffordElement, normal_form, trace_ext, trace_spin
 from .ledger import build_ledger, render_json, render_text
-from .oracle import OracleAssignment, oracle_case
+from .oracle import OracleAssignment, ext_degree_trace, oracle_case
 from .ring import (GRat, Scalar, reduce_unit_sphere, sphere_integrate,
                    sphere_moment)
 from .symbols import (NotIntegrable, RationalSymbol, integrate_line,

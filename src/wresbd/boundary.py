@@ -27,6 +27,7 @@ integral, prefactor.  All arithmetic is exact (Gaussian rationals).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import CliffordElement as CE
 from .catalog import FAMILIES, cubed_sigma, first_order_sigma
@@ -144,6 +145,7 @@ def _first_factor_sym(sym, case, tangent=None):
     return sym
 
 
+@lru_cache(maxsize=None)
 def case_factor_pairs(family, case):
     """Prepared factor pairs for one case, keyed by block name.
 
@@ -151,7 +153,8 @@ def case_factor_pairs(family, case):
     (projected first factor, derived second factor) restricted-symbol
     pairs whose traced products, summed and integrated, give that block's
     contribution (before the case prefactor).  Cases without a block split
-    carry the single block name "total".
+    carry the single block name "total".  Cached and shared by the engine
+    and every oracle seed, so callers must not mutate the result.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
     second_entry = cubed_sigma(family, case.ell)

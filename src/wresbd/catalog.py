@@ -28,7 +28,7 @@ from fractions import Fraction
 from .clifford import CliffordElement, trace_ext, trace_spin
 from .ring import GRat, Scalar
 from .symbols import (RationalSymbol, _poly_add, _poly_mul, _poly_neg,
-                      _poly_scale)
+                      _poly_scale, b0_scalar)
 
 __all__ = [
     "OperatorFamily",
@@ -97,14 +97,6 @@ def c_xi_poly():
     return [c_xi_prime(), CE.c(6)]
 
 
-def b0_scalar():
-    """|xi'|^2 = SH^2 (XI1^2 + ... + XI5^2)."""
-    out = Scalar.zero()
-    for j in range(1, 6):
-        out = out + Scalar.sym("SH", 2) * Scalar.sym("XI%d" % j, 2)
-    return out
-
-
 def b_poly():
     """|xi|^2 = |xi'|^2 + xi_n^2 as a xi_n-polynomial."""
     return [CE.scalar(b0_scalar()), CE.zero(), CE.one()]
@@ -162,13 +154,6 @@ def sigma0_connection(family):
     return out
 
 
-def sigma0_full(family):
-    """Full zeroth-order symbol of the first-order operator at x_0."""
-    if family.name == "dirac":
-        return sigma0_connection(family) + beta_dirac()
-    return sigma0_connection(family) + vartheta(starred=False)
-
-
 def sigma2_cube(family):
     """Second symbol of the cube at x_0 (family independent in shape).
 
@@ -214,10 +199,6 @@ def _dxn_block(q):
     inner = _poly_add(inner, _poly_neg(corr))
     poly = _poly_mul(_poly_mul(cx, [CE.c(6)]), inner)
     return _frac(poly, q)
-
-
-def _poly_neg(p):
-    return [-c for c in p]
 
 
 def first_order_sigma(family, order):

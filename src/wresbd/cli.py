@@ -6,13 +6,15 @@
 Runs the exact boundary computation for the chosen operator family,
 cross-checks every tabulated quantity against the independent numeric
 oracle at the given seeds, and writes the verification ledger.  The exit
-status is 0 exactly when every entry agrees with the oracle.
+status is 0 when every entry agrees with the oracle, 1 when one does not,
+and 2 on bad input, which is reported before any computation.
 
-Seeds default to the WRESBD_SEEDS environment variable (comma-separated)
-and then to "1,2,3".
+Seeds are nonnegative integers; they default to the WRESBD_SEEDS
+environment variable (comma-separated) and then to "1,2,3".
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -32,6 +34,9 @@ def _parse_seeds(text):
             "seeds must be a comma-separated list of integers: %r" % text)
     if not seeds:
         raise argparse.ArgumentTypeError("at least one seed is required")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(
+            "seeds must be nonnegative: %r" % text)
     return seeds
 
 
@@ -61,20 +66,27 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     seeds = args.seeds
     if seeds is None:
         env = os.environ.get("WRESBD_SEEDS", "").strip()
-        seeds = _parse_seeds(env) if env else [1, 2, 3]
+        try:
+            seeds = _parse_seeds(env) if env else [1, 2, 3]
+        except argparse.ArgumentTypeError as exc:
+            parser.error("WRESBD_SEEDS: %s" % exc)
+    # opened after every other input is checked, so bad seeds never
+    # truncate an existing report, and before any computation
+    try:
+        out = (open(args.out, "w") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        parser.error("argument --out: %s" % exc)
     case_ids = {args.case} if args.case else None
-    ledger = build_ledger(args.family, seeds, case_ids=case_ids)
-    report = (render_json(ledger) if args.format == "json"
-              else render_text(ledger))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    with out as fh:
+        ledger = build_ledger(args.family, seeds, case_ids=case_ids)
+        fh.write(render_json(ledger) if args.format == "json"
+                 else render_text(ledger))
     return 0 if ledger["all_match_oracle"] else 1
 
 

@@ -16,16 +16,13 @@ that the residue computation needs, so longer endomorphism words are an
 error.  Traces of endomorphism words stay symbolic: T:fam:j for one factor,
 T2:f1:j1:f2:j2 for an ordered pair, DIMF for the empty word.
 
-Matrix representations are provided for cross-checking every symbolic rule:
-an 8x8 spin representation (C generators only) and the 64x64 exterior
-representation where C acts as wedge-minus-contraction and CH as
-wedge-plus-contraction.
+One fibre-trace rule serves the 8-dimensional spin module (C only) and the
+64-dimensional exterior module (C = wedge - contraction, CH = wedge +
+contraction): only the empty word has a trace.  The representation
+matrices that check this rule live in the numeric oracle.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
 
 from .ring import GRat, Scalar
 
@@ -34,10 +31,6 @@ __all__ = [
     "normal_form",
     "trace_spin",
     "trace_ext",
-    "rep_matrix",
-    "word_matrix",
-    "ext_word_matrix",
-    "ext_degree_trace",
     "SPIN_DIM",
     "EXT_DIM",
 ]
@@ -140,7 +133,8 @@ class CliffordElement:
     @classmethod
     def word(cls, gens, coeff=1):
         sign, w = normal_form(tuple(gens))
-        return cls({(w, ()): _coerce_scalar(coeff) * sign})
+        c = _coerce_scalar(coeff)
+        return cls({(w, ()): -c if sign < 0 else c})
 
     # -- algebra ----------------------------------------------------------
 
@@ -266,109 +260,26 @@ def _endo_trace_scalar(endo):
     return Scalar.sym("T2:%s:%d:%s:%d" % (f1, j1, f2, j2))
 
 
-def trace_spin(elt):
-    """Trace over the 8-dimensional spin module tensored with F.
+def _trace(elt, dim):
+    """Trace over a dim-dimensional Clifford module tensored with F.
 
-    Reduced nonempty words are traceless in the spin representation, so
-    only the scalar part survives, weighted by 8 and by the symbolic trace
-    of the endomorphism word.  Rejects elements containing CH generators,
-    which do not act on the spin module.
+    With an even number of generators (6 spin, 12 exterior) every reduced
+    nonempty word anticommutes with some generator and is traceless.
     """
-    if elt.has_ch():
-        raise ValueError("CH generators have no spin representation")
     out = Scalar.zero()
     for (w, endo), c in elt.terms.items():
-        if w:
-            continue
-        out = out + c * SPIN_DIM * _endo_trace_scalar(endo)
+        if not w:
+            out = out + c * dim * _endo_trace_scalar(endo)
     return out
+
+
+def trace_spin(elt):
+    """Trace over the 8-dimensional spin module tensored with F."""
+    if elt.has_ch():
+        raise ValueError("CH generators have no spin representation")
+    return _trace(elt, SPIN_DIM)
 
 
 def trace_ext(elt):
-    """Trace over the 64-dimensional exterior module tensored with F.
-
-    Word traces are taken literally from the exterior matrices (they are
-    integers); the endomorphism word contributes its symbolic trace.
-    """
-    out = Scalar.zero()
-    for (w, endo), c in elt.terms.items():
-        t = int(round(ext_word_matrix(w).trace().real))
-        if t:
-            out = out + c * t * _endo_trace_scalar(endo)
-    return out
-
-
-# -- matrix representations ------------------------------------------------
-
-_PAULI1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI3 = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-
-
-@lru_cache(maxsize=None)
-def _spin_gens():
-    gens = []
-    for k in range(3):
-        for pauli in (_PAULI1, _PAULI2):
-            mats = [_PAULI3] * k + [1j * pauli] + [_ID2] * (2 - k)
-            m = mats[0]
-            for x in mats[1:]:
-                m = np.kron(m, x)
-            gens.append(m)
-    return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def _ext_gens():
-    """c(e_j) = wedge - contraction, hat-c(e_j) = wedge + contraction."""
-    cs, chs = [], []
-    for j in range(6):
-        eps = np.zeros((EXT_DIM, EXT_DIM), dtype=complex)
-        iot = np.zeros((EXT_DIM, EXT_DIM), dtype=complex)
-        for s in range(EXT_DIM):
-            if not s & (1 << j):
-                sign = (-1) ** bin(s & ((1 << j) - 1)).count("1")
-                eps[s | (1 << j), s] = sign
-                iot[s, s | (1 << j)] = sign
-        cs.append(eps - iot)
-        chs.append(eps + iot)
-    return tuple(cs), tuple(chs)
-
-
-def rep_matrix(gen, rep):
-    """Matrix of one generator: rep is 'spin' (8x8) or 'ext' (64x64)."""
-    _check_gen(gen)
-    kind, j = gen
-    if rep == "spin":
-        if kind == "CH":
-            raise ValueError("CH generators have no spin representation")
-        return _spin_gens()[j - 1]
-    if rep == "ext":
-        cs, chs = _ext_gens()
-        return cs[j - 1] if kind == "C" else chs[j - 1]
-    raise ValueError("unknown representation %r" % (rep,))
-
-
-def word_matrix(word, rep):
-    dim = SPIN_DIM if rep == "spin" else EXT_DIM
-    m = np.eye(dim, dtype=complex)
-    for g in word:
-        m = m @ rep_matrix(g, rep)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _ext_word_matrix_cached(word):
-    return word_matrix(word, "ext")
-
-
-def ext_word_matrix(word):
-    return _ext_word_matrix_cached(tuple(word))
-
-
-def ext_degree_trace(word, degree):
-    """Trace of a word's exterior matrix restricted to forms of one degree."""
-    m = ext_word_matrix(word)
-    idx = [s for s in range(EXT_DIM) if bin(s).count("1") == degree]
-    return complex(m[idx, idx].sum())
+    """Trace over the 64-dimensional exterior module tensored with F."""
+    return _trace(elt, EXT_DIM)

@@ -20,8 +20,7 @@ import re
 
 from .boundary import CASES, evaluate_case, substitute_K
 from .catalog import FAMILIES
-from .clifford import EXT_DIM, ext_degree_trace
-from .oracle import OracleAssignment, oracle_case
+from .oracle import OracleAssignment, ext_degree_trace, oracle_case
 from .refdata import INTERIOR_TERMS, paper_value
 from .ring import Scalar
 

@@ -5,13 +5,16 @@ bypasses the exact engine's algebraic rules at each stage where the
 engine does something nontrivial:
 
 * Clifford products and traces: literal representation matrices
-  (8x8 spin / 64x64 exterior) instead of the symbolic normal form;
+  (8x8 spin / 64x64 exterior) instead of the normal form and trace rule;
 * twisting endomorphisms: concrete random matrices on a model fibre,
   so endomorphism trace symbols become plain numbers;
 * the xi_n line integral: adaptive quadrature over the real line
   instead of the residue formula;
 * the sphere integral: the Gamma-function moment formula instead of
   the engine's double-factorial moment table.
+
+The representation matrices, and the per-degree exterior traces of the
+(5.29) ledger entry, are defined here and nowhere else.
 
 Symbol construction (catalog, derivatives, restriction, half-line
 projection) is shared with the engine; each of those stages is validated
@@ -26,11 +29,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .boundary import CASES, case_factor_pairs
+from .boundary import case_factor_pairs
 from .catalog import FAMILIES
-from .clifford import word_matrix
+from .clifford import EXT_DIM, SPIN_DIM, _check_gen
 
-__all__ = ["OracleAssignment", "oracle_case", "sphere_moment_numeric"]
+__all__ = ["OracleAssignment", "oracle_case", "sphere_moment_numeric",
+           "rep_matrix", "word_matrix", "ext_degree_trace"]
 
 _ALL_ENDO_FAMS = ("sigmaF", "Phi", "PhiStar", "sigmaFe", "w", "wStar")
 
@@ -79,9 +83,76 @@ class OracleAssignment:
         return float(np.trace(m))
 
 
+# -- representation matrices -----------------------------------------------
+
+_PAULI1 = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_PAULI3 = np.array([[1, 0], [0, -1]], dtype=complex)
+_ID2 = np.eye(2, dtype=complex)
+
+
 @lru_cache(maxsize=None)
-def _wmat(word, rep):
-    return np.asarray(word_matrix(word, rep), dtype=complex)
+def _spin_gens():
+    gens = []
+    for k in range(3):
+        for pauli in (_PAULI1, _PAULI2):
+            mats = [_PAULI3] * k + [1j * pauli] + [_ID2] * (2 - k)
+            m = mats[0]
+            for x in mats[1:]:
+                m = np.kron(m, x)
+            gens.append(m)
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def _ext_gens():
+    """c(e_j) = wedge - contraction, hat-c(e_j) = wedge + contraction (real)."""
+    cs, chs = [], []
+    for j in range(6):
+        eps = np.zeros((EXT_DIM, EXT_DIM))
+        iot = np.zeros((EXT_DIM, EXT_DIM))
+        for s in range(EXT_DIM):
+            if not s & (1 << j):
+                sign = (-1) ** bin(s & ((1 << j) - 1)).count("1")
+                eps[s | (1 << j), s] = sign
+                iot[s, s | (1 << j)] = sign
+        cs.append(eps - iot)
+        chs.append(eps + iot)
+    return tuple(cs), tuple(chs)
+
+
+def rep_matrix(gen, rep):
+    """Matrix of one generator: rep is 'spin' (8x8) or 'ext' (64x64)."""
+    _check_gen(gen)
+    kind, j = gen
+    if rep == "spin":
+        if kind == "CH":
+            raise ValueError("CH generators have no spin representation")
+        return _spin_gens()[j - 1]
+    if rep == "ext":
+        cs, chs = _ext_gens()
+        return cs[j - 1] if kind == "C" else chs[j - 1]
+    raise ValueError("unknown representation %r" % (rep,))
+
+
+def word_matrix(word, rep):
+    """Matrix of a generator word, multiplied out left to right."""
+    dim = SPIN_DIM if rep == "spin" else EXT_DIM
+    m = np.eye(dim)
+    for g in word:
+        m = m @ rep_matrix(g, rep)
+    return m
+
+
+def ext_degree_trace(word, degree):
+    """Trace of a word's exterior matrix restricted to forms of one degree."""
+    m = word_matrix(word, "ext")
+    idx = [s for s in range(EXT_DIM) if bin(s).count("1") == degree]
+    return complex(m[idx, idx].sum())
+
+
+# only reduced words (CliffordElement term keys) reach this cache
+_wmat = lru_cache(maxsize=None)(word_matrix)
 
 
 def sphere_moment_numeric(exps):

@@ -158,7 +158,8 @@ _TWO_I = GRat(0, 2)
 _MINUS_TWO_I = GRat(0, -2)
 
 
-def _b0_scalar():
+def b0_scalar():
+    """|xi'|^2 = SH^2 (XI1^2 + ... + XI5^2)."""
     out = Scalar.zero()
     for j in range(1, 6):
         out = out + Scalar.sym("SH", 2) * Scalar.sym("XI%d" % j, 2)
@@ -196,18 +197,9 @@ class RationalSymbol:
         return cls(restricted)
 
     @classmethod
-    def from_poly(cls, poly, key=0, restricted=False):
-        poly = [CE._coerce(c) for c in poly]
-        return cls(restricted, {key: poly})
-
-    @classmethod
     def constant(cls, ce, restricted=False):
         key = (0, 0) if restricted else 0
         return cls(restricted, {key: [CE._coerce(ce)]})
-
-    def copy(self):
-        return RationalSymbol(self.restricted,
-                              {k: list(p) for k, p in self.terms.items()})
 
     # -- linear structure -------------------------------------------------
 
@@ -270,11 +262,6 @@ class RationalSymbol:
     def is_zero(self):
         return not self.terms
 
-    def map_coeffs(self, f):
-        """Apply f to each CliffordElement coefficient."""
-        return RationalSymbol(self.restricted,
-                              {k: [f(c) for c in p] for k, p in self.terms.items()})
-
     # -- calculus ----------------------------------------------------------
 
     def derive(self, var):
@@ -319,7 +306,7 @@ class RationalSymbol:
         return out
 
     def _derive_xn(self):
-        b0 = _b0_scalar()
+        b0 = b0_scalar()
         out = RationalSymbol.zero(False)
         for q, p in self.terms.items():
             dp = _poly_map(p, lambda s: s.d_xn())
@@ -374,7 +361,7 @@ class RationalSymbol:
                 num = _poly_add(num, _poly_mul(lift, p))
             return (amax, bmax), num
         qmax = max(self.terms, default=0)
-        bpoly = [CE.scalar(_b0_scalar()), CE.zero(), CE.one()]
+        bpoly = [CE.scalar(b0_scalar()), CE.zero(), CE.one()]
         num = []
         for q, p in self.terms.items():
             lift = [CE.one()]
@@ -446,7 +433,7 @@ class RationalSymbol:
                 a, b = k
                 den = (xin - 1j) ** a * (xin + 1j) ** b
             else:
-                b0 = _b0_scalar().evaluate(assignment)
+                b0 = b0_scalar().evaluate(assignment)
                 den = (b0 + xin ** 2) ** k
             num = 0j
             for e, ce in enumerate(p):
@@ -500,7 +487,7 @@ def partial_fractions(sym):
         if a:
             shifted = _shift_series(p, _I, a)
             series = _inv_shifted_pole_series(_TWO_I, b, a)
-            coeffs = _series_mul(shifted, _grat_poly_full(series), a)
+            coeffs = _series_mul(shifted, _grat_poly(series), a)
             for j in range(a):
                 c = coeffs[j]
                 if not c.is_zero():
@@ -509,7 +496,7 @@ def partial_fractions(sym):
         if b:
             shifted = _shift_series(p, _MINUS_I, b)
             series = _inv_shifted_pole_series(_MINUS_TWO_I, a, b)
-            coeffs = _series_mul(shifted, _grat_poly_full(series), b)
+            coeffs = _series_mul(shifted, _grat_poly(series), b)
             for j in range(b):
                 c = coeffs[j]
                 if not c.is_zero():
@@ -518,10 +505,6 @@ def partial_fractions(sym):
     return PartialFractionForm(RationalSymbol(True, plus),
                                RationalSymbol(True, minus),
                                _trim(poly))
-
-
-def _grat_poly_full(series):
-    return [CE.scalar(c) for c in series]
 
 
 def _poly_divmod(p, d):
@@ -582,6 +565,6 @@ def integrate_line(sym):
         return Scalar.zero()
     shifted = _shift_series(num, _I, A)
     series = _inv_shifted_pole_series(_TWO_I, B, A)
-    coeff = _series_mul(shifted, _grat_poly_full(series), A)[A - 1]
+    coeff = _series_mul(shifted, _grat_poly(series), A)[A - 1]
     scal = coeff.terms.get(((), ()), Scalar.zero())
     return Scalar.sym("PI") * (scal * GRat(0, 2))

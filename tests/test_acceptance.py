@@ -34,10 +34,10 @@ from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
 from wresbd.catalog import (DIRAC, SIGNATURE, _frac, _sandwich, _sigma4_dm3,
                             alpha_dirac, c_endo, cubed_sigma,
                             first_order_sigma, invert_cubed)
-from wresbd.clifford import (CliffordElement, ext_degree_trace, normal_form,
-                             rep_matrix, trace_ext, trace_spin, word_matrix)
+from wresbd.clifford import CliffordElement, normal_form, trace_ext, trace_spin
 from wresbd.ledger import build_ledger, render_text
-from wresbd.oracle import OracleAssignment
+from wresbd.oracle import (OracleAssignment, ext_degree_trace, rep_matrix,
+                           word_matrix)
 from wresbd.ring import Scalar
 from wresbd.symbols import NotIntegrable, integrate_line, pi_minus, pi_plus
 

@@ -65,3 +65,39 @@ def test_output_is_deterministic(capsys):
 def test_unknown_family_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--family", "laplace", "--seeds", "1"])
+
+
+@pytest.fixture
+def no_ledger(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_ledger reached on bad input")
+    monkeypatch.setattr("wresbd.cli.build_ledger", unreachable)
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    return err
+
+
+def test_negative_seed_is_usage_error(no_ledger, capsys):
+    err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",
+                                "aI", "--seeds=-1"])
+    assert "nonnegative" in err
+
+
+def test_bad_env_seeds_is_usage_error(no_ledger, capsys, monkeypatch):
+    monkeypatch.setenv("WRESBD_SEEDS", "x")
+    err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",
+                                "aI"])
+    assert "WRESBD_SEEDS" in err
+
+
+def test_unwritable_out_is_usage_error(no_ledger, capsys, tmp_path):
+    path = tmp_path / "missing" / "report.txt"
+    err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",
+                                "aI", "--out", str(path)])
+    assert "--out" in err

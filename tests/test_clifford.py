@@ -11,14 +11,11 @@ from wresbd.clifford import (
     EXT_DIM,
     SPIN_DIM,
     CliffordElement,
-    ext_degree_trace,
-    ext_word_matrix,
     normal_form,
-    rep_matrix,
     trace_ext,
     trace_spin,
-    word_matrix,
 )
+from wresbd.oracle import ext_degree_trace, rep_matrix, word_matrix
 from wresbd.ring import Scalar, reduce_unit_sphere
 
 CE = CliffordElement
@@ -81,7 +78,7 @@ class TestNormalForm:
             word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(1, 5)))
             sign, w = normal_form(word)
             assert np.allclose(word_matrix(word, "ext"),
-                               sign * ext_word_matrix(w))
+                               sign * word_matrix(w, "ext"))
 
 
 def _random_element(rng, gens, max_words=3, max_len=3):
@@ -114,13 +111,21 @@ class TestTraces:
                 assert abs(sym - mat) < 1e-9
 
     def test_symbolic_vs_matrix_ext_sampled(self):
+        # every one of the 4096 reduced words, each matrix built from its
+        # prefix's with one product, walked depth first
         env = {"DIMF": 1.0}
-        rng = random.Random(3)
-        for _ in range(300):
-            word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(0, 4)))
+        gens = [(g, rep_matrix(g, "ext")) for g in ALL_GENS]
+        seen = 0
+        stack = [((), np.eye(EXT_DIM), 0)]
+        while stack:
+            word, mat, start = stack.pop()
             sym = trace_ext(CE.word(word)).evaluate(env)
-            mat = word_matrix(word, "ext").trace()
-            assert abs(sym - mat) < 1e-9
+            assert abs(sym - mat.trace()) < 1e-9
+            seen += 1
+            for i in range(start, len(gens)):
+                g, m = gens[i]
+                stack.append((word + (g,), mat @ m, i + 1))
+        assert seen == 2 ** len(ALL_GENS)
 
     def test_cyclicity(self):
         rng = random.Random(19)
