@@ -14,7 +14,12 @@ Layers, bottom to top (numpy and scipy are used by the oracle only):
 * :mod:`wresbd.oracle` -- independent seeded numeric cross-check, and
   the only home of the spin and exterior representation matrices;
 * :mod:`wresbd.ledger` / :mod:`wresbd.cli` -- verification reports.
+
+Importing the package and running the exact engine never loads numpy or
+scipy: the oracle and ledger names are imported on first use.
 """
+
+import importlib
 
 from .boundary import (CASES, BoundaryCase, CaseResult, assemble,
                        enumerate_cases, evaluate_case, substitute_K)
@@ -22,12 +27,23 @@ from .catalog import (DIRAC, FAMILIES, SIGNATURE, CatalogEntry,
                       OperatorFamily, cubed_sigma, first_order_sigma,
                       invert_cubed)
 from .clifford import CliffordElement, normal_form, trace_ext, trace_spin
-from .ledger import build_ledger, render_json, render_text
-from .oracle import OracleAssignment, ext_degree_trace, oracle_case
 from .ring import (GRat, Scalar, reduce_unit_sphere, sphere_integrate,
                    sphere_moment)
 from .symbols import (NotIntegrable, RationalSymbol, integrate_line,
                       pi_minus, pi_plus)
+
+# the numeric names, imported on first use (PEP 562)
+_LAZY = {"build_ledger": "ledger", "render_json": "ledger",
+         "render_text": "ledger", "OracleAssignment": "oracle",
+         "ext_degree_trace": "oracle", "oracle_case": "oracle"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+
 
 __all__ = [
     "BoundaryCase",

@@ -8,19 +8,21 @@ engine does something nontrivial:
   (8x8 spin / 64x64 exterior) instead of the normal form and trace rule;
 * twisting endomorphisms: concrete random matrices on a model fibre,
   so endomorphism trace symbols become plain numbers;
+* the sphere integral: the Gamma-function moment formula instead of
+  the engine's double-factorial moment table;
 * the xi_n line integral: adaptive quadrature over the real line
   instead of the residue formula;
-* the sphere integral: the Gamma-function moment formula instead of
-  the engine's double-factorial moment table.
+* the case prefactor: computed here from the case's multi-index.
 
-The representation matrices, and the per-degree exterior traces of the
-(5.29) ledger entry, are defined here and nowhere else.
+Both integrals are linear, so the oracle takes them in the other order:
+sphere moments of each traced term first, then one quadrature per block
+and pole key.  The representation matrices, and the per-degree exterior
+traces of the (5.29) ledger entry, are defined here and nowhere else.
 
-Symbol construction (catalog, derivatives, restriction, half-line
-projection) is shared with the engine; each of those stages is validated
-separately against published forms and analytic identities.  Agreement
-here therefore checks the trace, line-integral and sphere-integral
-stages end to end on the same symbol data.
+The factor symbols come from the engine's own ``case_factor_pairs``, so
+a fault in the catalog, pi+, the restriction, d/dx_n or d/dxi_n reaches
+both sides unseen (see the fault-injection tests).  Agreement checks the
+trace, line-integral, sphere-integral and prefactor stages end to end.
 """
 
 import math
@@ -32,6 +34,7 @@ from scipy.integrate import quad
 from .boundary import case_factor_pairs
 from .catalog import FAMILIES
 from .clifford import EXT_DIM, SPIN_DIM, _check_gen
+from .ring import XI_SYMBOLS
 
 __all__ = ["OracleAssignment", "oracle_case", "sphere_moment_numeric",
            "rep_matrix", "word_matrix", "ext_degree_trace"]
@@ -170,24 +173,36 @@ def sphere_moment_numeric(exps):
     return num / math.gamma(sum(a + 1 for a in exps) / 2.0)
 
 
-def _pair_integrand_polys(fsym, ssym, rep, assignment):
-    """Numeric trace of the factor product, as rational data in xi_n.
+def _sphere_numeric(scalar, env):
+    """Integral of a Scalar over the unit 4-sphere in XI1..XI5.
 
-    Returns a dict mapping the pole key (A, B) -- denominator
-    (xi_n - i)^A (xi_n + i)^B -- to a dict mapping an XI-monomial
-    exponent tuple to the list of numeric xi_n-polynomial coefficients.
+    Each XI-monomial becomes its Gamma-function moment; every other
+    symbol is looked up in `env`.
     """
-    out = {}
+    total = 0j
+    for mono, c in scalar.terms.items():
+        exps = [0] * 5
+        v = c.value()
+        for sym, e in mono:
+            if sym in XI_SYMBOLS:
+                exps[XI_SYMBOLS.index(sym)] = e
+            else:
+                v *= env[sym] ** e
+        total += v * sphere_moment_numeric(exps)
+    return total
+
+
+def _pair_integrand_polys(fsym, ssym, rep, assignment, out):
+    """Add the sphere-integrated numeric trace of one factor product to out.
+
+    out maps the pole key (A, B) -- denominator (xi_n - i)^A (xi_n + i)^B --
+    to the list of complex xi_n-polynomial coefficients of the numerator.
+    """
     for k1, p1 in fsym.terms.items():
         for k2, p2 in ssym.terms.items():
-            key = (k1[0] + k2[0], k1[1] + k2[1])
-            bucket = out.setdefault(key, {})
+            poly = out.setdefault((k1[0] + k2[0], k1[1] + k2[1]), [])
             for i1, c1 in enumerate(p1):
-                if c1.is_zero():
-                    continue
                 for i2, c2 in enumerate(p2):
-                    if c2.is_zero():
-                        continue
                     deg = i1 + i2
                     for (w1, e1), s1 in c1.terms.items():
                         for (w2, e2), s2 in c2.terms.items():
@@ -197,15 +212,11 @@ def _pair_integrand_polys(fsym, ssym, rep, assignment):
                             te = assignment.endo_trace(e1 + e2)
                             if te == 0.0:
                                 continue
-                            coeff = s1 * s2
-                            for mono, val in coeff.to_xi_poly(
-                                    assignment.env).items():
-                                poly = bucket.setdefault(mono, [])
-                                if len(poly) <= deg:
-                                    poly.extend(
-                                        0j for _ in range(deg + 1 - len(poly)))
-                                poly[deg] += val * tc * te
-    return out
+                            if len(poly) <= deg:
+                                poly.extend([0j] * (deg + 1 - len(poly)))
+                            poly[deg] += (_sphere_numeric(s1 * s2,
+                                                          assignment.env)
+                                          * tc * te)
 
 
 def _line_integral_numeric(poly, key):
@@ -213,16 +224,12 @@ def _line_integral_numeric(poly, key):
     a_pow, b_pow = key
     coeffs = list(reversed(poly))  # np.polyval convention
 
-    def f(x, part):
-        den = (x - 1j) ** a_pow * (x + 1j) ** b_pow
-        v = np.polyval(coeffs, x) / den
-        return v.real if part == 0 else v.imag
+    def f(x):
+        return np.polyval(coeffs, x) / ((x - 1j) ** a_pow * (x + 1j) ** b_pow)
 
-    re, _ = quad(f, -np.inf, np.inf, args=(0,), epsabs=1e-12,
-                 epsrel=1e-12, limit=400)
-    im, _ = quad(f, -np.inf, np.inf, args=(1,), epsabs=1e-12,
-                 epsrel=1e-12, limit=400)
-    return re + 1j * im
+    val, _ = quad(f, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400,
+                  complex_func=True)
+    return val
 
 
 def oracle_case(family, case, assignment):
@@ -233,17 +240,14 @@ def oracle_case(family, case, assignment):
     CaseResult evaluated at the same assignment.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
-    pref = complex(case.prefactor().evaluate(assignment.env))
+    n = case.nalpha + case.j + case.k + 1
+    pref = (-1j) ** n / math.factorial(case.j + case.k + 1)  # alpha! = 1
     blocks = {}
     for name, pairs in case_factor_pairs(family, case).items():
-        acc = 0j
+        polys = {}
         for fsym, ssym in pairs:
-            data = _pair_integrand_polys(fsym, ssym, family.rep, assignment)
-            for key, monos in data.items():
-                for mono, poly in monos.items():
-                    moment = sphere_moment_numeric(mono)
-                    if moment == 0.0:
-                        continue
-                    acc += moment * _line_integral_numeric(poly, key)
-        blocks[name] = pref * acc
+            _pair_integrand_polys(fsym, ssym, family.rep, assignment, polys)
+        blocks[name] = pref * sum(
+            (_line_integral_numeric(poly, key)
+             for key, poly in polys.items() if any(poly)), 0j)
     return blocks, sum(blocks.values())

@@ -120,8 +120,6 @@ class GRat:
 
 
 GRat.I = GRat(0, 1)
-GRat.ONE = GRat(1, 0)
-GRat.ZERO = GRat(0, 0)
 
 
 def _coerce(x):
@@ -132,30 +130,26 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to GRat" % (x,))
 
 
-def _frac_str(f):
-    return str(f)  # Fraction renders as "p/q" or "p"
-
-
 def _coeff_str(c):
     """Render a Gaussian rational: 3/4, -2, I, -1/2*I, (1+2*I)."""
     if c.im == 0:
-        return _frac_str(c.re)
+        return str(c.re)
     if c.re == 0:
         if c.im == 1:
             return "I"
         if c.im == -1:
             return "-I"
-        return "%s*I" % _frac_str(c.im)
+        return "%s*I" % c.im
     im = c.im
     if im == 1:
         ims = "I"
     elif im == -1:
         ims = "-I"
     else:
-        ims = "%s*I" % _frac_str(im)
+        ims = "%s*I" % im
     if not ims.startswith("-"):
-        return "(%s+%s)" % (_frac_str(c.re), ims)
-    return "(%s%s)" % (_frac_str(c.re), ims)
+        return "(%s+%s)" % (c.re, ims)
+    return "(%s%s)" % (c.re, ims)
 
 
 def _mono_key(mono):
@@ -337,25 +331,6 @@ class Scalar:
                 v *= assignment[s] ** e
             total += v
         return total
-
-    def to_xi_poly(self, assignment):
-        """Collect into a polynomial in XI1..XI5 with numeric coefficients.
-
-        Returns dict mapping a 5-tuple of exponents to a complex number.
-        Non-XI symbols are looked up in `assignment`.
-        """
-        poly = {}
-        for m, c in self.terms.items():
-            exps = [0] * 5
-            v = c.value()
-            for s, e in m:
-                if s in XI_SYMBOLS:
-                    exps[XI_SYMBOLS.index(s)] = e
-                else:
-                    v *= assignment[s] ** e
-            key = tuple(exps)
-            poly[key] = poly.get(key, 0j) + v
-        return {k: v for k, v in poly.items() if v != 0}
 
     # -- rendering ------------------------------------------------------
 

@@ -35,9 +35,7 @@ __all__ = [
     "partial_fractions",
     "pi_plus",
     "pi_minus",
-    "derive",
     "integrate_line",
-    "mul",
     "NotIntegrable",
 ]
 
@@ -535,14 +533,6 @@ def pi_minus(sym):
     if pf.poly:
         raise ValueError("pi_minus of a non-proper symbol")
     return pf.minus
-
-
-def derive(sym, var):
-    return sym.derive(var)
-
-
-def mul(a, b):
-    return a * b
 
 
 def integrate_line(sym):

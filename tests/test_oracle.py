@@ -5,8 +5,9 @@ import math
 import pytest
 
 from wresbd.boundary import CASES, evaluate_case
-from wresbd.oracle import OracleAssignment, oracle_case, sphere_moment_numeric
-from wresbd.ring import sphere_moment
+from wresbd.oracle import (OracleAssignment, _sphere_numeric, oracle_case,
+                           sphere_moment_numeric)
+from wresbd.ring import GRat, Scalar, sphere_integrate, sphere_moment
 
 OMEGA4 = 8.0 * math.pi ** 2 / 3.0
 
@@ -25,6 +26,25 @@ def test_numeric_sphere_moments_match_exact_table():
         exact = float(sphere_moment(exps)) * OMEGA4
         numeric = sphere_moment_numeric(exps)
         assert _close(exact, numeric, 1e-12), exps
+
+
+def test_numeric_sphere_integral_matches_exact():
+    xi = [Scalar.sym("XI%d" % j) for j in range(1, 6)]
+    h1, dimf, t = Scalar.sym("H1"), Scalar.sym("DIMF"), Scalar.sym("T:Phi:2")
+    scalars = [
+        Scalar.sym("XI5", 4) * Scalar.rational(3, 7),
+        xi[0] * xi[0] * h1 + xi[1] * xi[2] * dimf + Scalar.sym("XI5", 4) * t,
+        (xi[0] + xi[4] * Scalar.from_grat(GRat(1, 2)))
+        * (xi[0] - xi[4]) * h1 * h1
+        + xi[2] * xi[2] * xi[2] * xi[3] * t,
+        (xi[3] * xi[3] * Scalar.sym("XI5", 2) + Scalar.sym("XI5", 4)) * dimf
+        * Scalar.sym("SH", 3) + xi[1] * Scalar.sym("PI"),
+    ]
+    for seed in (1, 2):
+        env = OracleAssignment(seed).env
+        for s in scalars:
+            exact = complex(sphere_integrate(s).evaluate(env))
+            assert _close(_sphere_numeric(s, env), exact, 1e-12), s
 
 
 def test_assignment_is_reproducible_and_consistent():

@@ -14,9 +14,7 @@ from wresbd.symbols import (
     NotIntegrable,
     PartialFractionForm,
     RationalSymbol,
-    derive,
     integrate_line,
-    mul,
     partial_fractions,
     pi_minus,
     pi_plus,
@@ -135,8 +133,8 @@ class TestDerivatives:
         for _ in range(40):
             f = random_restricted(rng)
             g = random_restricted(rng)
-            lhs = mul(f, g).derive("xin")
-            rhs = mul(f.derive("xin"), g) + mul(f, g.derive("xin"))
+            lhs = (f * g).derive("xin")
+            rhs = f.derive("xin") * g + f * g.derive("xin")
             assert lhs.equals(rhs)
 
     def test_leibniz_unrestricted(self):
@@ -145,8 +143,8 @@ class TestDerivatives:
             for _ in range(20):
                 f = random_unrestricted(rng)
                 g = random_unrestricted(rng)
-                lhs = mul(f, g).derive(var)
-                rhs = mul(f.derive(var), g) + mul(f, g.derive(var))
+                lhs = (f * g).derive(var)
+                rhs = f.derive(var) * g + f * g.derive(var)
                 assert lhs.equals(rhs)
 
     def test_restrict_commutes_with_xin(self):
@@ -254,4 +252,4 @@ class TestRestriction:
     def test_mixing_phases_rejected(self):
         rng = random.Random(1)
         with pytest.raises(ValueError):
-            mul(random_unrestricted(rng), random_restricted(rng))
+            random_unrestricted(rng) * random_restricted(rng)
