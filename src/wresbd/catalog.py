@@ -28,7 +28,7 @@ from fractions import Fraction
 from .clifford import CliffordElement, trace_ext, trace_spin
 from .ring import GRat, Scalar
 from .symbols import (RationalSymbol, _poly_add, _poly_mul, _poly_neg,
-                      _poly_scale, b0_scalar)
+                      _poly_scale, b0_scalar, b_poly)
 
 __all__ = [
     "OperatorFamily",
@@ -45,24 +45,21 @@ CE = CliffordElement
 
 
 class OperatorFamily:
-    """Representation, trace rule and endomorphism alphabet of one operator."""
+    """Name, representation and trace rule of one operator."""
 
-    __slots__ = ("name", "rep", "trace", "endo_fams")
+    __slots__ = ("name", "rep", "trace")
 
-    def __init__(self, name, rep, trace, endo_fams):
+    def __init__(self, name, rep, trace):
         self.name = name
         self.rep = rep
         self.trace = trace
-        self.endo_fams = endo_fams
 
     def __repr__(self):
         return "OperatorFamily(%r)" % self.name
 
 
-DIRAC = OperatorFamily("dirac", "spin", trace_spin,
-                       ("sigmaF", "Phi", "PhiStar"))
-SIGNATURE = OperatorFamily("signature", "ext", trace_ext,
-                           ("sigmaFe", "w", "wStar"))
+DIRAC = OperatorFamily("dirac", "spin", trace_spin)
+SIGNATURE = OperatorFamily("signature", "ext", trace_ext)
 FAMILIES = {"dirac": DIRAC, "signature": SIGNATURE}
 
 
@@ -95,11 +92,6 @@ def c_xi_prime():
 def c_xi_poly():
     """c(xi) = c(xi') + xi_n c(dx_n), as a xi_n-polynomial."""
     return [c_xi_prime(), CE.c(6)]
-
-
-def b_poly():
-    """|xi|^2 = |xi'|^2 + xi_n^2 as a xi_n-polynomial."""
-    return [CE.scalar(b0_scalar()), CE.zero(), CE.one()]
 
 
 def dxn_c_xi_prime():
@@ -168,7 +160,7 @@ def sigma2_cube(family):
     h5 = Scalar.sym("H1") * Fraction(-5)
     inner = [inner0, CE.scalar(h5)]  # xi_n-poly: inner0 - 5 H1 xi_n
     poly = _poly_mul(c_xi_poly(), inner)
-    corr = _poly_scale(b_poly(), Scalar.sym("H1") * Fraction(-1, 4), "left")
+    corr = _poly_scale(b_poly(), Scalar.sym("H1") * Fraction(-1, 4))
     corr = [c * CE.c(6) for c in corr]
     return RationalSymbol(False, {0: _poly_add(poly, corr)})
 
@@ -194,8 +186,8 @@ def _dxn_block(q):
     summands vanish at x_0.
     """
     cx = c_xi_poly()
-    inner = _poly_scale(b_poly(), dxn_c_xi_prime(), "left")
-    corr = _poly_scale(cx, Scalar.sym("H1") * b0_scalar(), "left")
+    inner = _poly_scale(b_poly(), dxn_c_xi_prime())
+    corr = _poly_scale(cx, Scalar.sym("H1") * b0_scalar())
     inner = _poly_add(inner, _poly_neg(corr))
     poly = _poly_mul(_poly_mul(cx, [CE.c(6)]), inner)
     return _frac(poly, q)
@@ -232,12 +224,11 @@ def _sigma4_dm3():
     cx = c_xi_poly()
     s2 = sigma2_cube(None).terms[0]
     first = _frac(_poly_mul(_poly_mul(cx, s2), cx), 4)
-    left = _poly_add(_poly_scale(b_poly(), CE.c(6), "right"),
+    left = _poly_add(_poly_scale(b_poly(), CE.c(6)),
                      _poly_mul([CE.scalar(2)], [CE.zero()] + cx))
     # left = c(dx_n)|xi|^2 + 2 xi_n c(xi)
-    right = _poly_add(_poly_scale(b_poly(), dxn_c_xi_prime(), "left"),
-                      _poly_neg(_poly_scale(
-                          cx, Scalar.sym("H1") * b0_scalar() * 2, "left")))
+    right = _poly_add(_poly_scale(b_poly(), dxn_c_xi_prime()),
+                      _poly_neg(_poly_scale(cx, Scalar.sym("H1") * b0_scalar() * 2)))
     second = _frac(_poly_mul(_poly_mul(cx, left), right), 5)
     return first + second
 
@@ -251,16 +242,14 @@ def cubed_sigma(family, order):
     if order == 2:
         expr = sigma2_cube(family)
         if family.name == "dirac":
-            extra = _frac(_poly_scale(b_poly(), alpha_dirac(), "left"), 0) \
+            extra = _frac(_poly_scale(b_poly(), alpha_dirac()), 0) \
                 + _sandwich(c_endo("Phi") * Fraction(-2), 0) \
-                + _frac(_poly_scale(b_poly(),
-                                    c_endo("PhiStar") * Fraction(-2), "left"), 0)
+                + _frac(_poly_scale(b_poly(), c_endo("PhiStar") * Fraction(-2)), 0)
         else:
             extra = _frac(_poly_scale(
-                b_poly(), p_signature() + vartheta(starred=True), "left"), 0) \
+                b_poly(), p_signature() + vartheta(starred=True)), 0) \
                 + _sandwich(c_endo("w"), 0) \
-                + _frac(_poly_scale(b_poly(),
-                                    c_endo("wStar") * Fraction(-1), "left"), 0)
+                + _frac(_poly_scale(b_poly(), c_endo("wStar") * Fraction(-1)), 0)
         return CatalogEntry(family, 2, expr + extra)
     if order == -3:
         poly = [c * Scalar.i() for c in cx]

@@ -73,7 +73,7 @@ def _match(a, b):
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), _ABS_FLOOR)
 
 
-def _entry(eq_id, case_id, block, exact, family_name, seeds, oracle_values):
+def _entry(eq_id, case_id, block, exact, family_name, oracle_values):
     ref = paper_value(family_name, eq_id)
     seed_rows = []
     all_match = True
@@ -151,21 +151,21 @@ def build_ledger(family, seeds, case_ids=None):
                 eq_id = emap[(case.case_id, name)]
                 ovals = [(s, a, ob[name]) for s, a, ob, _ in per_seed]
                 entries.append(_entry(eq_id, case.case_id, name, bval,
-                                      family.name, seeds, ovals))
+                                      family.name, ovals))
         eq_id = emap[(case.case_id, None)]
         ovals = [(s, a, ot) for s, a, _, ot in per_seed]
         entries.append(_entry(eq_id, case.case_id, None, res.value,
-                              family.name, seeds, ovals))
+                              family.name, ovals))
 
     if case_ids is None:
         total_id, theorem_id = _TOTAL_IDS[family.name]
         ovals = [(s, a, grand_oracle[s])
                  for s, a in zip(seeds, assignments)]
         entries.append(_entry(total_id, "total", None, grand_exact,
-                              family.name, seeds, ovals))
+                              family.name, ovals))
         entries.append(_entry(theorem_id, "total", "mean-curvature form",
                               substitute_K(grand_exact), family.name,
-                              seeds, ovals))
+                              ovals))
         if family.name == "signature":
             entries.append(_b6_pattern_entry())
 

@@ -22,10 +22,7 @@ CE = CliffordElement
 __all__ = [
     "paper_value",
     "paper_form",
-    "PAPER_VALUE_IDS",
-    "PAPER_FORM_IDS",
     "INTERIOR_TERMS",
-    "DERIVATIVE_FORM_IDS",
 ]
 
 
@@ -174,11 +171,6 @@ _PAPER_VALUES = {
     ("signature", "(5.52)"): (_val(Fraction(-46, 5), _K)
                               + _val(-4, _T("sigmaFe"))
                               + _val(4, _T("wStar")) + _val(-12, _T("w"))),
-}
-
-PAPER_VALUE_IDS = {
-    "dirac": tuple(i for (f, i) in _PAPER_VALUES if f == "dirac"),
-    "signature": tuple(i for (f, i) in _PAPER_VALUES if f == "signature"),
 }
 
 
@@ -348,13 +340,6 @@ def _pi_plus_mid_block(mid, extra_dxn=False):
     return _rs(((2, 0), [num0 * Fraction(-1, 4), num1 * Fraction(-1, 4)]))
 
 
-DERIVATIVE_FORM_IDS = {
-    "dirac": ("(3.15)", "(3.21)", "(3.31)", "(3.34)", "(3.39)",
-              "(3.44)", "(3.56)"),
-    "signature": ("(5.8)", "(5.13)", "(5.23)", "(5.41)", "(5.44)"),
-}
-
-
 def paper_form(family_name, eq_id):
     """Published intermediate symbol form, as a restricted symbol."""
     common = {
@@ -400,12 +385,3 @@ def paper_form(family_name, eq_id):
     raise KeyError("no published form %s for family %s"
                    % (eq_id, family_name))
 
-
-PAPER_FORM_IDS = {
-    "dirac": ("(3.14)", "(3.15)", "(3.20)", "(3.21)", "(3.29)", "(3.30)",
-              "(3.31)", "(3.34)", "(3.39)", "(3.44)", "(3.53)", "(3.54)",
-              "(3.55)", "(3.56)"),
-    "signature": ("(5.7)", "(5.8)", "(5.12)", "(5.13)", "(5.19)", "(5.20)",
-                  "(5.21)", "(5.22)", "(5.23)", "(5.39)", "(5.40)", "(5.41)",
-                  "(5.44)"),
-}

@@ -308,14 +308,12 @@ class Scalar:
         """Replace symbols by Scalars (other symbols pass through)."""
         out = Scalar.zero()
         for m, c in self.terms.items():
-            term = Scalar.from_grat(c)
+            term = Scalar({tuple((s, e) for s, e in m if s not in mapping): c})
             for s, e in m:
                 if s in mapping:
                     rep = Scalar._coerce(mapping[s])
                     for _ in range(e):
                         term = term * rep
-                else:
-                    term = term * Scalar.sym(s, e)
             out = out + term
         return out
 

@@ -21,6 +21,11 @@ The boundary projection pi_plus keeps the principal part at the pole
 xi_n = +i of the partial-fraction decomposition; integrate_line evaluates
 the xi_n integral over the whole real line exactly as 2*pi*i times the
 residue at +i.
+
+Each rule is stated once.  One quotient rule serves every derivative of
+an unrestricted symbol (x_n, xi_n and the tangential covariables).  One
+principal-part expansion at a pole serves pi_plus and pi_minus, and
+integrate_line forms only its last coefficient, the residue at +i.
 """
 
 from fractions import Fraction
@@ -85,10 +90,8 @@ def _poly_mul(p, q):
     return _trim(out)
 
 
-def _poly_scale(p, s, side="left"):
-    if side == "left":
-        return _trim([CE._coerce(s) * c for c in p])
-    return _trim([c * CE._coerce(s) for c in p])
+def _poly_scale(p, s):
+    return _trim([CE._coerce(s) * c for c in p])
 
 
 def _poly_deriv(p):
@@ -150,10 +153,18 @@ def _series_mul(p, q, length):
     return out
 
 
+def _principal_part(p, root, n, m):
+    """Principal part of p / ((xi - root)^n (xi + root)^m) at xi = root.
+
+    Returns the coefficients of (xi - root)^-n, ..., (xi - root)^-1;
+    empty when n = 0.
+    """
+    series = _inv_shifted_pole_series(root * 2, m, n)
+    return _series_mul(_shift_series(p, root, n), _grat_poly(series), n)
+
+
 _I = GRat(0, 1)
 _MINUS_I = GRat(0, -1)
-_TWO_I = GRat(0, 2)
-_MINUS_TWO_I = GRat(0, -2)
 
 
 def b0_scalar():
@@ -162,6 +173,11 @@ def b0_scalar():
     for j in range(1, 6):
         out = out + Scalar.sym("SH", 2) * Scalar.sym("XI%d" % j, 2)
     return out
+
+
+def b_poly():
+    """|xi|^2 = |xi'|^2 + xi_n^2 as a xi_n-polynomial."""
+    return [CE.scalar(b0_scalar()), CE.zero(), CE.one()]
 
 
 class RationalSymbol:
@@ -234,9 +250,7 @@ class RationalSymbol:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GRat, Scalar)):
-            return RationalSymbol(
-                self.restricted,
-                {k: _poly_scale(p, other, "right") for k, p in self.terms.items()})
+            return self.__rmul__(other)  # central scalars commute
         other = self._coerce(other)
         self._same_phase(other)
         out = {}
@@ -254,7 +268,7 @@ class RationalSymbol:
         if isinstance(other, (int, Fraction, GRat, Scalar, CE)):
             return RationalSymbol(
                 self.restricted,
-                {k: _poly_scale(p, other, "left") for k, p in self.terms.items()})
+                {k: _poly_scale(p, other) for k, p in self.terms.items()})
         return self._coerce(other) * self
 
     def is_zero(self):
@@ -271,60 +285,43 @@ class RationalSymbol:
         """
         if var == "xprime":
             return RationalSymbol.zero(self.restricted)
+        if var == "xin" and self.restricted:
+            return self._derive_xin_restricted()
+        if var not in ("xin", "xn") + _XI_VARS:
+            raise ValueError("unknown derivative variable %r" % (var,))
+        if self.restricted:
+            raise ValueError("%s derivative after restriction is lost" % var)
         if var == "xin":
-            return self._derive_xin()
-        if var == "xn":
-            if self.restricted:
-                raise ValueError("x_n derivative after restriction is lost")
-            return self._derive_xn()
-        if var in _XI_VARS:
-            if self.restricted:
-                raise ValueError("tangential covariable derivative after "
-                                 "restriction is lost")
-            return self._derive_xi(int(var[2]))
-        raise ValueError("unknown derivative variable %r" % (var,))
+            return self._quotient_rule(_poly_deriv)
+        f = Scalar.d_xn if var == "xn" else lambda s: s.d_xi(int(var[2]))
+        return self._quotient_rule(lambda p: _poly_map(p, f))
 
-    def _derive_xin(self):
-        out = RationalSymbol.zero(self.restricted)
+    def _quotient_rule(self, d):
+        """d(p/B^q) = d(p)/B^q - q d(B) p/B^(q+1), with B = |xi|^2.
+
+        d is a derivation of xi_n-polynomials; d(B) is d applied to B.
+        """
+        dB = d(b_poly())
+        out = {}
+        for q, p in self.terms.items():
+            out[q] = _poly_add(out.get(q, []), d(p))
+            if q:
+                out[q + 1] = _poly_add(out.get(q + 1, []),
+                                       _poly_scale(_poly_mul(dB, p), -q))
+        return RationalSymbol(False, out)
+
+    def _derive_xin_restricted(self):
+        """d/dxi_n term by term, raising the pole orders in the keys."""
+        out = RationalSymbol.zero(True)
         for k, p in self.terms.items():
             d = _poly_deriv(p)
             if d:
-                out = out + RationalSymbol(self.restricted, {k: d})
-            if self.restricted:
-                a, b = k
-                if a:
-                    out = out + RationalSymbol(True, {(a + 1, b): _poly_scale(p, -a)})
-                if b:
-                    out = out + RationalSymbol(True, {(a, b + 1): _poly_scale(p, -b)})
-            else:
-                q = k
-                if q:
-                    shifted = [CE.zero()] + _poly_scale(p, -2 * q)
-                    out = out + RationalSymbol(False, {q + 1: shifted})
-        return out
-
-    def _derive_xn(self):
-        b0 = b0_scalar()
-        out = RationalSymbol.zero(False)
-        for q, p in self.terms.items():
-            dp = _poly_map(p, lambda s: s.d_xn())
-            if dp:
-                out = out + RationalSymbol(False, {q: dp})
-            if q:
-                scaled = _poly_scale(p, Scalar.sym("H1") * b0 * Fraction(-q))
-                out = out + RationalSymbol(False, {q + 1: scaled})
-        return out
-
-    def _derive_xi(self, j):
-        out = RationalSymbol.zero(False)
-        dxj = Scalar.sym("SH", 2) * Scalar.sym("XI%d" % j)
-        for q, p in self.terms.items():
-            dp = _poly_map(p, lambda s: s.d_xi(j))
-            if dp:
-                out = out + RationalSymbol(False, {q: dp})
-            if q:
-                scaled = _poly_scale(p, dxj * Fraction(-2 * q))
-                out = out + RationalSymbol(False, {q + 1: scaled})
+                out = out + RationalSymbol(True, {k: d})
+            a, b = k
+            if a:
+                out = out + RationalSymbol(True, {(a + 1, b): _poly_scale(p, -a)})
+            if b:
+                out = out + RationalSymbol(True, {(a, b + 1): _poly_scale(p, -b)})
         return out
 
     def restrict(self):
@@ -359,7 +356,7 @@ class RationalSymbol:
                 num = _poly_add(num, _poly_mul(lift, p))
             return (amax, bmax), num
         qmax = max(self.terms, default=0)
-        bpoly = [CE.scalar(b0_scalar()), CE.zero(), CE.one()]
+        bpoly = b_poly()
         num = []
         for q, p in self.terms.items():
             lift = [CE.one()]
@@ -406,25 +403,8 @@ class RationalSymbol:
             raise ValueError("zero symbol has no homogeneity order")
         return order
 
-    def scalar_part(self):
-        """Extract the purely scalar CliffordElement coefficients as Scalars.
-
-        Raises when any coefficient still has Clifford or endomorphism
-        content -- the trace must be taken first.
-        """
-        out = {}
-        for k, p in self.terms.items():
-            sp = []
-            for ce in p:
-                for (w, e) in ce.terms:
-                    if w or e:
-                        raise ValueError("nonscalar coefficient %r" % (ce,))
-                sp.append(ce.terms.get(((), ()), Scalar.zero()))
-            out[k] = sp
-        return out
-
     def evaluate(self, xin, assignment):
-        """Numeric value at a real xi_n (complex output) for the oracle."""
+        """Numeric value at a real xi_n (complex output) of a scalar symbol."""
         total = 0j
         for k, p in self.terms.items():
             if self.restricted:
@@ -482,24 +462,14 @@ def partial_fractions(sym):
                             _grat_poly(_binomial_pole_poly(_MINUS_I, b)))
             quot, p = _poly_divmod(p, den)
             poly = _poly_add(poly, quot)
-        if a:
-            shifted = _shift_series(p, _I, a)
-            series = _inv_shifted_pole_series(_TWO_I, b, a)
-            coeffs = _series_mul(shifted, _grat_poly(series), a)
-            for j in range(a):
-                c = coeffs[j]
-                if not c.is_zero():
-                    key = (a - j, 0)
-                    plus[key] = _poly_add(plus.get(key, []), [c])
-        if b:
-            shifted = _shift_series(p, _MINUS_I, b)
-            series = _inv_shifted_pole_series(_MINUS_TWO_I, a, b)
-            coeffs = _series_mul(shifted, _grat_poly(series), b)
-            for j in range(b):
-                c = coeffs[j]
-                if not c.is_zero():
-                    key = (0, b - j)
-                    minus[key] = _poly_add(minus.get(key, []), [c])
+        for j, c in enumerate(_principal_part(p, _I, a, b)):
+            if not c.is_zero():
+                key = (a - j, 0)
+                plus[key] = _poly_add(plus.get(key, []), [c])
+        for j, c in enumerate(_principal_part(p, _MINUS_I, b, a)):
+            if not c.is_zero():
+                key = (0, b - j)
+                minus[key] = _poly_add(minus.get(key, []), [c])
     return PartialFractionForm(RationalSymbol(True, plus),
                                RationalSymbol(True, minus),
                                _trim(poly))
@@ -544,7 +514,9 @@ def integrate_line(sym):
     """
     if not sym.restricted:
         raise ValueError("integrate over xi_n after restriction")
-    sym.scalar_part()  # validates scalar-ness
+    if any(w or e for p in sym.terms.values() for ce in p for w, e in ce.terms):
+        raise ValueError("integrate_line needs scalar coefficients; "
+                         "take the trace first")
     (A, B), num = sym._common()
     if not num:
         return Scalar.zero()
@@ -553,8 +525,9 @@ def integrate_line(sym):
         raise NotIntegrable("integrand decays like |xi_n|^%d" % (deg - A - B))
     if A == 0:
         return Scalar.zero()
+    # the residue is the (xi_n - i)^-1 coefficient of the principal part
     shifted = _shift_series(num, _I, A)
-    series = _inv_shifted_pole_series(_TWO_I, B, A)
-    coeff = _series_mul(shifted, _grat_poly(series), A)[A - 1]
+    series = _inv_shifted_pole_series(_I * 2, B, A)
+    coeff = sum((shifted[k] * series[A - 1 - k] for k in range(A)), CE.zero())
     scal = coeff.terms.get(((), ()), Scalar.zero())
     return Scalar.sym("PI") * (scal * GRat(0, 2))

@@ -67,6 +67,19 @@ def random_unrestricted(rng):
     return RationalSymbol(False, terms)
 
 
+def random_unrestricted_scalar(rng):
+    """Random scalar-valued unrestricted symbol with SH and XI powers."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        poly = []
+        for _ in range(rng.randint(1, 3)):
+            s = _random_scalar(rng) * Scalar.sym("SH", rng.randint(0, 3))
+            s = s * Scalar.sym("XI%d" % rng.randint(1, 5), rng.randint(0, 2))
+            poly.append(CE.scalar(s))
+        terms[rng.randint(0, 3)] = poly
+    return RationalSymbol(False, terms)
+
+
 class TestPartialFractions:
     def test_simple_pole_split(self):
         # 1/((x-i)(x+i)) = (i/2)[1/(x+i) - 1/(x-i)] ... check by recombining
@@ -168,23 +181,30 @@ class TestDerivatives:
         assert s.derive("xin").equals(
             RationalSymbol(True, {(2, 0): [-CE.one()]}))
 
-    def test_xn_of_sh_powers(self):
-        # d/dx_n of SH^2 * XI1 / |xi|^2 picks up H1 from both layers
-        num = CE.scalar(Scalar.sym("SH", 2) * Scalar.sym("XI1"))
-        s = RationalSymbol(False, {1: [num]})
-        d = s.derive("xn")
-        # numeric check at a sample covariable point (SH=1 at boundary)
-        env = {"SH": 1.0, "H1": 0.7, "XI1": 0.3, "XI2": 0.1, "XI3": -0.4,
-               "XI4": 0.2, "XI5": 0.5}
-        xin = 0.9
-        b0 = sum(env["XI%d" % j] ** 2 for j in range(1, 6))
-        f = env["XI1"] / (b0 + xin ** 2)
-        # analytic: (h' * b0) * XI1 / B - XI1 * h' b0 / B^2  with SH-layer h'
-        want = env["H1"] * env["XI1"] / (b0 + xin ** 2) \
-            - env["XI1"] * env["H1"] * b0 / (b0 + xin ** 2) ** 2
-        got = d.evaluate(xin, env)
-        assert got == pytest.approx(want, rel=1e-12)
-        assert f  # silence lint
+    @pytest.mark.parametrize("var", ["xn", "xin", "xi1", "xi3", "xi5"])
+    def test_unrestricted_matches_central_difference(self, var):
+        # x_n moves only SH = sqrt(h), with h(x_n) = 1 + H1 x_n, so SH = 1
+        # at the boundary; the other variables move themselves
+        rng = random.Random(var)
+        env0 = {"SH": 1.0 if var == "xn" else 1.3, "H1": 0.7, "XI1": 0.3,
+                "XI2": 0.1, "XI3": -0.4, "XI4": 0.2, "XI5": 0.5}
+        xin0, h = 0.9, 1e-5
+
+        def moved(s, t):
+            env = dict(env0)
+            if var == "xn":
+                env["SH"] = math.sqrt(1 + env["H1"] * t)
+            elif var == "xin":
+                return s.evaluate(xin0 + t, env)
+            else:
+                env["XI" + var[2]] += t
+            return s.evaluate(xin0, env)
+
+        for _ in range(20):
+            s = random_unrestricted_scalar(rng)
+            want = (moved(s, h) - moved(s, -h)) / (2 * h)
+            got = s.derive(var).evaluate(xin0, env0)
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
 
 class TestHomogeneity:
@@ -222,6 +242,15 @@ class TestIntegrateLine:
     def test_divergent_rejected(self):
         with pytest.raises(NotIntegrable):
             integrate_line(RationalSymbol(True, {(1, 1): [CE.zero(), CE.one(), CE.one()]}))
+
+    @pytest.mark.parametrize("word", [CE.c(2), CE.endo("Phi", 1)],
+                             ids=["clifford", "endomorphism"])
+    def test_nonscalar_integrand_rejected(self, word):
+        assert not integrate_line(
+            RationalSymbol(True, {(2, 1): [CE.one(), CE.one()]})).is_zero()
+        s = RationalSymbol(True, {(2, 1): [CE.one(), word]})
+        with pytest.raises(ValueError, match="scalar coefficients"):
+            integrate_line(s)
 
     def test_against_quadrature_corpus(self):
         # 200 random proper scalar rational functions, relative 1e-8
