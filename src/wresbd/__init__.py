@@ -22,7 +22,7 @@ scipy: the oracle and ledger names are imported on first use.
 import importlib
 
 from .boundary import (CASES, BoundaryCase, CaseResult, assemble,
-                       enumerate_cases, evaluate_case, substitute_K)
+                       evaluate_case, substitute_K)
 from .catalog import (DIRAC, FAMILIES, SIGNATURE, CatalogEntry,
                       OperatorFamily, cubed_sigma, first_order_sigma,
                       invert_cubed)
@@ -63,7 +63,6 @@ __all__ = [
     "assemble",
     "build_ledger",
     "cubed_sigma",
-    "enumerate_cases",
     "evaluate_case",
     "ext_degree_trace",
     "first_order_sigma",

@@ -39,7 +39,6 @@ __all__ = [
     "CaseResult",
     "CASES",
     "case_factor_pairs",
-    "enumerate_cases",
     "evaluate_case",
     "assemble",
     "substitute_K",
@@ -79,39 +78,15 @@ class CaseResult:
     blocks: dict = field(default_factory=dict)
 
 
-_CASE_IDS = {
-    (-1, -3, 0, 0, 1): "aI",
-    (-1, -3, 1, 0, 0): "aII",
-    (-1, -3, 0, 1, 0): "aIII",
-    (-1, -4, 0, 0, 0): "b",
-    (-2, -3, 0, 0, 0): "c",
-}
-
-
-def enumerate_cases(bound=6):
-    """All multi-index combinations satisfying the order constraint.
-
-    Scans r, ell, j, k, |alpha| exhaustively over a range wide enough to
-    contain every admissible solution: with r <= -1 and ell <= -3 the
-    constraint forces j + k + |alpha| = r + ell + 5 >= 0, which admits
-    exactly the five cases listed in the module docstring.
-    """
-    found = []
-    for r in range(-bound, 0):
-        for ell in range(-bound, -2):
-            for j in range(bound):
-                for k in range(bound):
-                    for na in range(bound):
-                        if r + ell - k - j - na - 1 != -6:
-                            continue
-                        key = (r, ell, j, k, na)
-                        found.append(BoundaryCase(_CASE_IDS[key], r, ell,
-                                                  j, k, na))
-    found.sort(key=lambda c: ("aI aII aIII b c".split().index(c.case_id)))
-    return found
-
-
-CASES = enumerate_cases()
+# the five solutions of the order constraint (module docstring), in
+# report order
+CASES = [
+    BoundaryCase("aI", -1, -3, 0, 0, 1),
+    BoundaryCase("aII", -1, -3, 1, 0, 0),
+    BoundaryCase("aIII", -1, -3, 0, 1, 0),
+    BoundaryCase("b", -1, -4, 0, 0, 0),
+    BoundaryCase("c", -2, -3, 0, 0, 0),
+]
 
 
 def _trace_symbol(family, sym):

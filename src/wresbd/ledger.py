@@ -127,23 +127,29 @@ def build_ledger(family, seeds, case_ids=None):
     """Full verification ledger for one family over the given seeds.
 
     Returns a JSON-serializable dict.  `case_ids` optionally restricts the
-    evaluation to a subset of case ids (totals are then omitted).
+    evaluation to a subset of case ids (totals are then omitted); an id
+    not in CASES raises ValueError.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
+    if case_ids is not None:
+        unknown = set(case_ids) - {c.case_id for c in CASES}
+        if unknown:
+            raise ValueError("unknown case ids: %s"
+                             % ", ".join(map(repr, sorted(unknown))))
     seeds = list(seeds)
     assignments = [OracleAssignment(s) for s in seeds]
     entries = []
     grand_exact = Scalar.zero()
-    grand_oracle = {s: 0j for s in seeds}
+    grand_oracle = [0j] * len(seeds)  # per seed position; seeds may repeat
     selected = [c for c in CASES
                 if case_ids is None or c.case_id in case_ids]
     for case in selected:
         res = evaluate_case(family, case)
         per_seed = []
-        for seed, a in zip(seeds, assignments):
+        for i, (seed, a) in enumerate(zip(seeds, assignments)):
             oblocks, ototal = oracle_case(family, case, a)
             per_seed.append((seed, a, oblocks, ototal))
-            grand_oracle[seed] += ototal
+            grand_oracle[i] += ototal
         grand_exact = grand_exact + res.value
         emap = _EQ_MAP[family.name]
         if len(res.blocks) > 1:
@@ -159,8 +165,7 @@ def build_ledger(family, seeds, case_ids=None):
 
     if case_ids is None:
         total_id, theorem_id = _TOTAL_IDS[family.name]
-        ovals = [(s, a, grand_oracle[s])
-                 for s, a in zip(seeds, assignments)]
+        ovals = list(zip(seeds, assignments, grand_oracle))
         entries.append(_entry(total_id, "total", None, grand_exact,
                               family.name, ovals))
         entries.append(_entry(theorem_id, "total", "mean-curvature form",

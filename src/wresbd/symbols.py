@@ -18,9 +18,11 @@ XI1..XI5 polynomially; those are spectators here and are integrated over
 the sphere later.
 
 The boundary projection pi_plus keeps the principal part at the pole
-xi_n = +i of the partial-fraction decomposition; integrate_line evaluates
-the xi_n integral over the whole real line exactly as 2*pi*i times the
-residue at +i.
+xi_n = +i of a proper restricted symbol (numerator degree below the
+denominator degree in every term, as for every symbol of negative order);
+pi_minus keeps the principal part at -i, and the two sum to the symbol.
+integrate_line evaluates the xi_n integral over the whole real line
+exactly as 2*pi*i times the residue at +i.
 
 Each rule is stated once.  One quotient rule serves every derivative of
 an unrestricted symbol (x_n, xi_n and the tangential covariables).  One
@@ -36,8 +38,6 @@ from .ring import GRat, Scalar, reduce_unit_sphere
 
 __all__ = [
     "RationalSymbol",
-    "PartialFractionForm",
-    "partial_fractions",
     "pi_plus",
     "pi_minus",
     "integrate_line",
@@ -427,82 +427,36 @@ class RationalSymbol:
         return "RationalSymbol(%s, %d terms)" % (phase, len(self.terms))
 
 
-class PartialFractionForm:
-    """Decomposition over the poles +/- i plus a polynomial part."""
+def _principal_parts(sym, root):
+    """Principal part at xi_n = root (+/- i) of a proper restricted symbol.
 
-    __slots__ = ("plus", "minus", "poly")
-
-    def __init__(self, plus, minus, poly):
-        self.plus = plus      # RationalSymbol, poles at +i only
-        self.minus = minus    # RationalSymbol, poles at -i only
-        self.poly = poly      # coefficient list (usually empty)
-
-    def recombine(self):
-        out = self.plus + self.minus
-        if self.poly:
-            out = out + RationalSymbol(True, {(0, 0): list(self.poly)})
-        return out
-
-
-def partial_fractions(sym):
-    """Exact partial-fraction decomposition of a restricted symbol."""
+    Sums the principal parts at `root` of the terms
+    p / ((xi_n - i)^a (xi_n + i)^b); the result has poles at `root` only.
+    Raises ValueError before any work if some numerator has degree
+    >= a + b.
+    """
     if not sym.restricted:
-        raise ValueError("partial fractions require the restricted phase")
-    plus = {}
-    minus = {}
-    poly = []
+        raise ValueError("principal parts require the restricted phase")
+    if any(len(p) > a + b for (a, b), p in sym.terms.items()):
+        raise ValueError("principal part of a non-proper symbol")
+    plus = root == _I
+    out = {}
     for (a, b), p in sym.terms.items():
-        p = list(p)
-        if a == 0 and b == 0:
-            poly = _poly_add(poly, p)
-            continue
-        deg = len(p) - 1
-        if deg >= a + b:
-            den = _poly_mul(_grat_poly(_binomial_pole_poly(_I, a)),
-                            _grat_poly(_binomial_pole_poly(_MINUS_I, b)))
-            quot, p = _poly_divmod(p, den)
-            poly = _poly_add(poly, quot)
-        for j, c in enumerate(_principal_part(p, _I, a, b)):
-            if not c.is_zero():
-                key = (a - j, 0)
-                plus[key] = _poly_add(plus.get(key, []), [c])
-        for j, c in enumerate(_principal_part(p, _MINUS_I, b, a)):
-            if not c.is_zero():
-                key = (0, b - j)
-                minus[key] = _poly_add(minus.get(key, []), [c])
-    return PartialFractionForm(RationalSymbol(True, plus),
-                               RationalSymbol(True, minus),
-                               _trim(poly))
-
-
-def _poly_divmod(p, d):
-    """Divide CE-poly p by a monic CE-poly d; returns (quotient, remainder)."""
-    p = list(p)
-    dd = len(d) - 1
-    quot = [CE.zero() for _ in range(max(len(p) - dd, 0))]
-    while p and len(p) - 1 >= dd:
-        k = len(p) - 1 - dd
-        q = p[-1]
-        quot[k] = quot[k] + q
-        for m, c in enumerate(d):
-            p[k + m] = p[k + m] - q * c
-        _trim(p)
-    return _trim(quot), _trim(p)
+        n, m = (a, b) if plus else (b, a)
+        for j, c in enumerate(_principal_part(p, root, n, m)):
+            key = (n - j, 0) if plus else (0, n - j)
+            out[key] = _poly_add(out.get(key, []), [c])
+    return RationalSymbol(True, out)
 
 
 def pi_plus(sym):
     """Keep the principal part at xi_n = +i (the boundary projection)."""
-    pf = partial_fractions(sym)
-    if pf.poly:
-        raise ValueError("pi_plus of a non-proper symbol")
-    return pf.plus
+    return _principal_parts(sym, _I)
 
 
 def pi_minus(sym):
-    pf = partial_fractions(sym)
-    if pf.poly:
-        raise ValueError("pi_minus of a non-proper symbol")
-    return pf.minus
+    """Keep the principal part at xi_n = -i; pi_plus + pi_minus = id."""
+    return _principal_parts(sym, _MINUS_I)
 
 
 def integrate_line(sym):

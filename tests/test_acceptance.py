@@ -25,6 +25,7 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,7 @@ CE = CliffordElement
 C_GENS = [("C", j) for j in range(1, 7)]
 ALL_GENS = C_GENS + [("CH", j) for j in range(1, 7)]
 FAMS = [DIRAC, SIGNATURE]
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- criterion 1: algebra suite ----------------------------------------------
@@ -223,6 +225,10 @@ class TestFullLedgers:
             for e in ledger["entries"]:
                 assert e["match_oracle"] is True, e["id"]
             text = render_text(ledger)
+            # byte-identical to the committed report of
+            # `wresbd verify --family F --seeds 1,2,3 --format text`
+            golden = DATA / ("report_%s.txt" % fam)
+            assert text == golden.read_text(encoding="utf-8")
             # totals appear side by side: engine total, published total,
             # and the mean-curvature (theorem) form after substitution
             total_id, theorem_id = (("(3.65)", "(3.67)")

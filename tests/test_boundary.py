@@ -5,23 +5,26 @@ from fractions import Fraction
 import pytest
 
 from wresbd import refdata as R
-from wresbd.boundary import (CASES, BoundaryCase, assemble, enumerate_cases,
-                             evaluate_case, substitute_K)
+from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
 from wresbd.ring import GRat, Scalar
 
 FAMS = ["dirac", "signature"]
 
 
 def test_enumeration_is_complete_and_minimal():
-    cases = enumerate_cases()
-    ids = [c.case_id for c in cases]
+    ids = [c.case_id for c in CASES]
     assert ids == ["aI", "aII", "aIII", "b", "c"]
-    # widening the scan bound finds nothing new
-    assert enumerate_cases(bound=9) == cases
-    # every case satisfies the order constraint
-    for c in cases:
-        assert c.r + c.ell - c.j - c.k - c.nalpha - 1 == -6
-        assert c.r <= -1 and c.ell <= -3
+    # scanning the order constraint over a wide range finds exactly CASES
+    bound = 9
+    found = {(r, ell, j, k, na)
+             for r in range(-bound, 0)
+             for ell in range(-bound, -2)
+             for j in range(bound)
+             for k in range(bound)
+             for na in range(bound)
+             if r + ell - k - j - na - 1 == -6}
+    assert found == {(c.r, c.ell, c.j, c.k, c.nalpha) for c in CASES}
+    assert len(found) == len(CASES)
 
 
 def test_prefactors():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from wresbd.ledger import build_ledger, render_json, render_text
 
 
@@ -42,3 +44,20 @@ def test_interior_term_rendered_as_annotation():
         led = build_ledger(fam, [])
         assert led["interior_term"]
         assert "reported, not verified" in render_text(led)
+
+
+def test_repeated_seed_keeps_grand_total_per_position():
+    # the grand oracle total is summed per seed position, not per seed
+    # value, so a repeated seed does not double it
+    led = build_ledger("dirac", [1, 1])
+    assert led["all_match_oracle"] is True
+    total = next(e for e in led["entries"] if e["id"] == "(3.65)")
+    assert total["seeds"][0] == total["seeds"][1]
+
+
+@pytest.mark.parametrize("case_ids", [{"bogus"}, "aII"])
+def test_unknown_case_ids_rejected(case_ids):
+    # an unknown id must not give an empty, vacuously matching ledger; a
+    # bare string is not a set of ids and must not substring-match
+    with pytest.raises(ValueError, match="unknown case ids"):
+        build_ledger("dirac", [1], case_ids=case_ids)

@@ -1,4 +1,4 @@
-"""Rational symbol calculus: partial fractions, projections, line integrals."""
+"""Rational symbol calculus: principal parts, projections, line integrals."""
 
 import math
 import random
@@ -12,10 +12,8 @@ from wresbd.clifford import CliffordElement as CE
 from wresbd.ring import GRat, Scalar
 from wresbd.symbols import (
     NotIntegrable,
-    PartialFractionForm,
     RationalSymbol,
     integrate_line,
-    partial_fractions,
     pi_minus,
     pi_plus,
 )
@@ -84,24 +82,33 @@ class TestPartialFractions:
     def test_simple_pole_split(self):
         # 1/((x-i)(x+i)) = (i/2)[1/(x+i) - 1/(x-i)] ... check by recombining
         s = RationalSymbol(True, {(1, 1): [CE.one()]})
-        pf = partial_fractions(s)
-        assert pf.recombine().equals(s)
-        assert pf.plus.terms == {(1, 0): [CE.scalar(GRat(0, Fraction(-1, 2)))]}
-        assert pf.minus.terms == {(0, 1): [CE.scalar(GRat(0, Fraction(1, 2)))]}
+        plus, minus = pi_plus(s), pi_minus(s)
+        assert (plus + minus).equals(s)
+        assert plus.terms == {(1, 0): [CE.scalar(GRat(0, Fraction(-1, 2)))]}
+        assert minus.terms == {(0, 1): [CE.scalar(GRat(0, Fraction(1, 2)))]}
 
     def test_recombination_random(self):
+        # pi_plus + pi_minus is the partial-fraction split of a proper
+        # symbol; a non-proper one has no such split and is rejected
         rng = random.Random(23)
+        rejected = 0
         for _ in range(100):
             s = random_restricted(rng, proper=rng.random() < 0.8)
-            pf = partial_fractions(s)
-            assert pf.recombine().equals(s)
+            if any(len(p) > a + b for (a, b), p in s.terms.items()):
+                rejected += 1
+                for proj in (pi_plus, pi_minus):
+                    with pytest.raises(ValueError, match="non-proper"):
+                        proj(s)
+                continue
+            assert (pi_plus(s) + pi_minus(s)).equals(s)
+        assert 0 < rejected < 100
 
     def test_plus_minus_pole_purity(self):
         rng = random.Random(5)
         for _ in range(50):
-            pf = partial_fractions(random_restricted(rng))
-            assert all(b == 0 for (_, b) in pf.plus.terms)
-            assert all(a == 0 for (a, _) in pf.minus.terms)
+            s = random_restricted(rng)
+            assert all(b == 0 for (_, b) in pi_plus(s).terms)
+            assert all(a == 0 for (a, _) in pi_minus(s).terms)
 
 
 class TestPiPlus:
