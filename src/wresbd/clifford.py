@@ -18,11 +18,13 @@ T2:f1:j1:f2:j2 for an ordered pair, DIMF for the empty word.
 
 One fibre-trace rule serves the 8-dimensional spin module (C only) and the
 64-dimensional exterior module (C = wedge - contraction, CH = wedge +
-contraction): only the empty word has a trace.  The representation
-matrices that check this rule live in the numeric oracle.
+contraction): only the empty word has a trace.  trace_ext_degree splits
+the exterior trace by form degree, exactly.  The representation matrices
+that check both rules live in the numeric oracle.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .ring import GRat, Scalar
 
@@ -31,6 +33,7 @@ __all__ = [
     "normal_form",
     "trace_spin",
     "trace_ext",
+    "trace_ext_degree",
     "SPIN_DIM",
     "EXT_DIM",
 ]
@@ -283,3 +286,23 @@ def trace_spin(elt):
 def trace_ext(elt):
     """Trace over the 64-dimensional exterior module tensored with F."""
     return _trace(elt, EXT_DIM)
+
+
+def trace_ext_degree(word, degree):
+    """Exact trace of a generator word on the exterior forms of one degree.
+
+    Each generator maps a basis form e_S to +-e_(S xor {j}), so a reduced
+    word whose indices do not pair up as c_j chat_j has no diagonal entry.
+    c_j chat_j acts as +1 on forms containing e_j and -1 on the others, so
+    a product of p such pairs has trace [t^m] (1+t)^(6-p) (t-1)^p on
+    m-forms.  The reduced word differs from that product by a sign.
+    """
+    sign, w = normal_form(word)
+    pairs = [j for kind, j in w if kind == "C"]
+    if pairs != [j for kind, j in w if kind == "CH"]:
+        return 0
+    order, _ = normal_form([g for j in pairs for g in (("C", j), ("CH", j))])
+    p = len(pairs)
+    coeff = sum(comb(6 - p, degree - k) * comb(p, k) * (-1) ** (p - k)
+                for k in range(max(0, degree - 6 + p), min(p, degree) + 1))
+    return sign * order * coeff

@@ -20,6 +20,7 @@ import re
 
 from .boundary import CASES, evaluate_case, substitute_K
 from .catalog import FAMILIES
+from .clifford import trace_ext_degree
 from .oracle import OracleAssignment, ext_degree_trace, oracle_case
 from .refdata import INTERIOR_TERMS, paper_value
 from .ring import Scalar
@@ -105,10 +106,11 @@ def _b6_pattern_entry():
     The alternating products of wedge and contraction in the published
     intermediate step reduce to the word c_i chat_i c_6 chat_6; its trace
     on each exterior degree follows a binomial pattern that sums to zero
-    over all degrees.
+    over all degrees.  The exact rule is checked against the oracle's
+    matrices degree by degree.
     """
     word = (("C", 1), ("CH", 1), ("C", 6), ("CH", 6))
-    per_degree = [round(ext_degree_trace(word, m).real) for m in range(7)]
+    per_degree = [trace_ext_degree(word, m) for m in range(7)]
     total = sum(per_degree)
     return {
         "id": "(5.29)",
@@ -118,7 +120,8 @@ def _b6_pattern_entry():
                       % (total, per_degree),
         "paper": "0",
         "match_paper": total == 0,
-        "match_oracle": total == 0,
+        "match_oracle": all(_match(e, ext_degree_trace(word, m))
+                            for m, e in enumerate(per_degree)),
         "seeds": [],
     }
 
@@ -127,11 +130,13 @@ def build_ledger(family, seeds, case_ids=None):
     """Full verification ledger for one family over the given seeds.
 
     Returns a JSON-serializable dict.  `case_ids` optionally restricts the
-    evaluation to a subset of case ids (totals are then omitted); an id
-    not in CASES raises ValueError.
+    evaluation to a subset of case ids (totals are then omitted); an empty
+    selection or an id not in CASES raises ValueError.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
     if case_ids is not None:
+        if not set(case_ids):
+            raise ValueError("no case selected")
         unknown = set(case_ids) - {c.case_id for c in CASES}
         if unknown:
             raise ValueError("unknown case ids: %s"

@@ -1,7 +1,8 @@
 """Exact scalar coefficient ring.
 
-Scalars are finite sums  c * m  where c is a Gaussian rational (a + b*i with
-a, b rational) and m is a monomial over a small fixed alphabet:
+Scalars are finite sums  c * m  where c is a Gaussian rational (a + b*i)/d,
+held as three integers in lowest terms, and m is a monomial over a small
+fixed alphabet:
 
     H1      h'(0), the normal derivative of the collar metric factor at x_n=0
     DIMF    rank of the auxiliary flat bundle F
@@ -19,6 +20,7 @@ coefficients in this ring, so the whole pipeline is exact.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "GRat",
@@ -52,65 +54,81 @@ def _as_fraction(x):
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
-class GRat:
-    """Gaussian rational a + b*i with exact Fraction parts."""
+def _grat(a, b, d):
+    """The GRat (a + b*i)/d in lowest terms, for integers a, b and d > 0."""
+    g = gcd(a, b, d)
+    x = object.__new__(GRat)
+    x.a, x.b, x.d = a // g, b // g, d // g
+    return x
 
-    __slots__ = ("re", "im")
+
+class GRat:
+    """Gaussian rational (a + b*i)/d held as integers.
+
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so zero is
+    (0, 0, 1).  ``re`` and ``im`` read the parts back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        re, im = _as_fraction(re), _as_fraction(im)
+        self.d = d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * d // re.denominator
+        self.b = im.numerator * d // im.denominator
+
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
 
     def __add__(self, other):
         other = _coerce(other)
-        return GRat(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _grat(self.a + other.a, self.b + other.b, d)
+        return _grat(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GRat(self.re - other.re, self.im - other.im)
+        return self + -_coerce(other)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
-        return GRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _grat(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        f = other.d
+        return _grat((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __neg__(self):
-        return GRat(-self.re, -self.im)
+        return _grat(-self.a, -self.b, self.d)
 
     def __eq__(self, other):
         try:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def value(self):
-        return complex(self.re, self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return "GRat(%s, %s)" % (self.re, self.im)
@@ -125,6 +143,8 @@ GRat.I = GRat(0, 1)
 def _coerce(x):
     if isinstance(x, GRat):
         return x
+    if type(x) is int:
+        return _grat(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return GRat(x, 0)
     raise TypeError("cannot coerce %r to GRat" % (x,))
@@ -165,6 +185,24 @@ def _normalize_mono(pairs):
     items = [(s, e) for s, e in acc.items() if e != 0]
     items.sort(key=lambda p: _sym_rank(p[0]))
     return tuple(items)
+
+
+def _mono_mul(m1, m2):
+    """Product of two normalised monomials, merged in _sym_rank order."""
+    out, i, j = [], 0, 0
+    while i < len(m1) and j < len(m2):
+        (s1, e1), (s2, e2) = m1[i], m2[j]
+        if s1 == s2:
+            i, j = i + 1, j + 1
+            if e1 + e2:
+                out.append((s1, e1 + e2))
+        elif _sym_rank(s1) < _sym_rank(s2):
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 class Scalar:
@@ -241,7 +279,7 @@ class Scalar:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _normalize_mono(list(m1) + list(m2))
+                m = _mono_mul(m1, m2)
                 c = c1 * c2
                 v = out.get(m)
                 v = c if v is None else v + c
@@ -288,7 +326,7 @@ class Scalar:
         for m, c in self.terms.items():
             k = dict(m).get("SH", 0)
             if k:
-                out = out + Scalar({_normalize_mono(list(m) + [("H1", 1)]):
+                out = out + Scalar({_mono_mul(m, (("H1", 1),)):
                                     c * Fraction(k, 2)})
         return out
 

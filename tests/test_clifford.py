@@ -13,6 +13,7 @@ from wresbd.clifford import (
     CliffordElement,
     normal_form,
     trace_ext,
+    trace_ext_degree,
     trace_spin,
 )
 from wresbd.oracle import ext_degree_trace, rep_matrix, word_matrix
@@ -210,3 +211,31 @@ class TestDegreewiseTraces:
         total = sum(ext_degree_trace(word, m) for m in range(7))
         assert abs(total) < 1e-12
         assert trace_ext(CE.word(word)).is_zero()
+
+
+class TestExactDegreewiseTrace:
+    """The exact degree-graded exterior trace against the oracle's matrices."""
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_every_pair_subset(self, r):
+        # all 64 subsets of pairs c_j chat_j, each word shuffled so that the
+        # sign of its normal form varies
+        rng = random.Random(r)
+        for subset in itertools.combinations(range(1, 7), r):
+            word = [g for j in subset for g in (("C", j), ("CH", j))]
+            rng.shuffle(word)
+            word = tuple(word)
+            for m in range(7):
+                assert trace_ext_degree(word, m) == ext_degree_trace(word, m)
+
+    def test_sampled_other_words(self):
+        rng = random.Random(529)
+        for _ in range(200):
+            word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(1, 7)))
+            got = [trace_ext_degree(word, m) for m in range(7)]
+            assert got == [ext_degree_trace(word, m) for m in range(7)]
+
+    def test_published_pattern(self):
+        word = (("C", 1), ("CH", 1), ("C", 6), ("CH", 6))
+        got = [trace_ext_degree(word, m) for m in range(7)]
+        assert got == [1, 2, -1, -4, -1, 2, 1]

@@ -61,3 +61,10 @@ def test_unknown_case_ids_rejected(case_ids):
     # bare string is not a set of ids and must not substring-match
     with pytest.raises(ValueError, match="unknown case ids"):
         build_ledger("dirac", [1], case_ids=case_ids)
+
+
+@pytest.mark.parametrize("case_ids", [[], set()])
+def test_empty_case_selection_rejected(case_ids):
+    # an empty selection must not give an empty, vacuously matching ledger
+    with pytest.raises(ValueError, match="no case selected"):
+        build_ledger("dirac", [1], case_ids=case_ids)

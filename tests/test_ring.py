@@ -6,6 +6,7 @@ with 4e6 samples) before the ring was written.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from wresbd.ring import (
     GRat,
     Scalar,
     XI_SYMBOLS,
+    _mono_mul,
+    _normalize_mono,
     reduce_unit_sphere,
     sphere_integrate,
     sphere_moment,
@@ -39,6 +42,140 @@ class TestGRat:
         assert str(GRat(0, 1)) == "I"
         assert str(GRat(0, Fraction(-1, 2))) == "-1/2*I"
         assert str(GRat(1, 2)) == "(1+2*I)"
+
+
+FRACS = st.fractions(min_value=-50, max_value=50, max_denominator=48)
+PAIRS = st.tuples(FRACS, FRACS)
+
+
+def _ref_str(re, im):
+    """Rendering of a + b*i from its Fraction parts, as in the reports."""
+    if im == 0:
+        return str(re)
+    ims = {1: "I", -1: "-I"}.get(im, "%s*I" % im)
+    if re == 0:
+        return ims
+    return "(%s%s%s)" % (re, "" if ims.startswith("-") else "+", ims)
+
+
+def _ref_op(op, x, y):
+    """+, -, *, / on (re, im) pairs of Fractions."""
+    (a, b), (c, d) = x, y
+    if op is operator.add:
+        return (a + c, b + d)
+    if op is operator.sub:
+        return (a - c, b - d)
+    if op is operator.mul:
+        return (a * c - b * d, a * d + b * c)
+    n = c * c + d * d
+    return ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+def _assert_canonical(g):
+    assert g.d > 0
+    assert math.gcd(g.a, g.b, g.d) == 1
+    if not g:
+        assert (g.a, g.b, g.d) == (0, 0, 1)
+
+
+def _assert_matches(g, pair):
+    re, im = pair
+    _assert_canonical(g)
+    assert (g.re, g.im) == (re, im)
+    assert g == GRat(re, im)
+    assert bool(g) == (re != 0 or im != 0)
+    assert str(g) == _ref_str(re, im)
+    v, w = g.value(), complex(re, im)
+    assert (v.real.hex(), v.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+class TestGRatAgainstFractionPairs:
+    """GRat holds integers; every result must equal the same operation on a
+    pair of Fractions, in canonical form, with a bit-equal float value."""
+
+    @given(PAIRS)
+    def test_construction(self, x):
+        _assert_matches(GRat(*x), x)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_int_construction(self, a, b):
+        _assert_matches(GRat(a, b), (Fraction(a), Fraction(b)))
+        _assert_matches(GRat(a) + 0, (Fraction(a), Fraction(0)))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.truediv])
+    @given(x=PAIRS, y=PAIRS)
+    def test_binary_ops(self, op, x, y):
+        if op is operator.truediv and y == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                GRat(*x) / GRat(*y)
+            return
+        _assert_matches(op(GRat(*x), GRat(*y)), _ref_op(op, x, y))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.truediv])
+    @given(x=PAIRS, k=st.integers(-20, 20) | FRACS)
+    def test_mixed_with_rationals(self, op, x, k):
+        if k == 0 and op is operator.truediv:
+            return
+        want = _ref_op(op, x, (Fraction(k), Fraction(0)))
+        _assert_matches(op(GRat(*x), k), want)
+        if op is not operator.truediv:
+            back = _ref_op(op, (Fraction(k), Fraction(0)), x)
+            _assert_matches(op(k, GRat(*x)), back)
+
+    @given(PAIRS)
+    def test_negation(self, x):
+        _assert_matches(-GRat(*x), (-x[0], -x[1]))
+
+    @given(x=PAIRS, y=PAIRS, k=st.integers(1, 30))
+    def test_equality_and_hash(self, x, y, k):
+        g = GRat(*x)
+        # the same value reached through a different unreduced triple
+        h = GRat(x[0] * k, x[1] * k) / k
+        assert g == h and hash(g) == hash(h)
+        assert (g == GRat(*y)) == (x == y)
+        if x[1] == 0:
+            assert g == x[0]
+
+
+ALPHABET = ("PI", "H1", "K", "OMEGA4", "DIMF", "SH") + XI_SYMBOLS + (
+    "T:sigmaF:1", "T:Phi:3", "T2:Phi:1:PhiStar:2")
+MONOS = st.dictionaries(st.sampled_from(ALPHABET), st.integers(-2, 2),
+                        max_size=6).map(lambda d: _normalize_mono(d.items()))
+SCALARS = st.dictionaries(MONOS, PAIRS.map(lambda p: GRat(*p)),
+                          max_size=4).map(Scalar)
+
+
+class TestScalarRingAxioms:
+    @given(MONOS, MONOS)
+    def test_merged_monomial_product(self, m1, m2):
+        assert _mono_mul(m1, m2) == _normalize_mono(list(m1) + list(m2))
+
+    @given(MONOS)
+    def test_inverse_monomials_cancel(self, m):
+        inv = tuple((s, -e) for s, e in m)
+        assert _mono_mul(m, inv) == ()
+
+    @given(SCALARS, SCALARS, SCALARS)
+    def test_associative_and_distributive(self, x, y, z):
+        assert (x * y) * z == x * (y * z)
+        assert (x + y) + z == x + (y + z)
+        assert x * (y + z) == x * y + x * z
+
+    @given(SCALARS, SCALARS)
+    def test_commutative(self, x, y):
+        assert x * y == y * x
+        assert x + y == y + x
+
+    @given(SCALARS)
+    def test_identities(self, x):
+        assert x + Scalar.zero() == x
+        assert x * Scalar.one() == x
+        assert (x * Scalar.zero()).is_zero()
+        assert (x - x).is_zero()
+        for c in (x * x).terms.values():
+            _assert_canonical(c)
 
 
 class TestScalarRing:
