@@ -19,10 +19,11 @@ sigma_l those of its inverse cube.  With the available symbol orders
     b    r=-1, l=-4
     c    r=-2, l=-3
 
-Each case is evaluated through one pipeline: unrestricted derivatives,
-restriction to the boundary fibre, half-line projection on the first
-factor, product, fibre trace, exact xi_n line integral, exact sphere
-integral, prefactor.  All arithmetic is exact (Gaussian rationals).
+Each case is evaluated through one pipeline: every derivative on the
+unrestricted symbol (d_xin^k commutes with pi^+), restriction to the
+boundary fibre, half-line projection on the first factor, product, fibre
+trace, exact xi_n line integral, exact sphere integral, prefactor.  All
+arithmetic is exact (Gaussian rationals).
 """
 
 from dataclasses import dataclass, field
@@ -109,15 +110,15 @@ def _second_factor_sym(sym, case):
 
 
 def _first_factor_sym(sym, case, tangent=None):
-    """d_xin^k pi^+ restrict(d_xn^j d_xi'^alpha sigma_r) for one symbol."""
+    """d_xin^k pi^+ d_xn^j d_xi'^alpha sigma_r for one symbol; d_xin is
+    taken first, as it commutes with the restriction and pi^+."""
     for _ in range(case.j):
         sym = sym.derive("xn")
     if case.nalpha:
         sym = sym.derive("xi%d" % tangent)
-    sym = pi_plus(sym.restrict())
     for _ in range(case.k):
         sym = sym.derive("xin")
-    return sym
+    return pi_plus(sym.restrict())
 
 
 @lru_cache(maxsize=None)

@@ -21,14 +21,17 @@ coordinates (straight metric with collar factor h(x_n), h(0)=1, h'(0)=H1):
   composition recursion q_{-3} = p_3^{-1},
   q_{-4} = -p_3^{-1} [p_2 p_3^{-1} + sum_j d_{xi_j} p_3 D_{x_j} p_3^{-1}],
   which cross-checks the catalog forms through entirely generic machinery.
+
+The untwisted sigma_{-2} block and the D1 block of sigma_{-4} take their
+composition remainder -q (d_xin p)(D_xn q) from one _remainder, built on
+the symbol calculus's derivative; the twisting blocks are sandwich forms.
 """
 
 from fractions import Fraction
 
 from .clifford import CliffordElement, trace_ext, trace_spin
 from .ring import GRat, Scalar
-from .symbols import (RationalSymbol, _poly_add, _poly_mul, _poly_neg,
-                      _poly_scale, b0_scalar, b_poly)
+from .symbols import RationalSymbol, _poly_add, _poly_mul, _poly_scale, b_poly
 
 __all__ = [
     "OperatorFamily",
@@ -92,11 +95,6 @@ def c_xi_prime():
 def c_xi_poly():
     """c(xi) = c(xi') + xi_n c(dx_n), as a xi_n-polynomial."""
     return [c_xi_prime(), CE.c(6)]
-
-
-def dxn_c_xi_prime():
-    """Normal derivative of c(xi') at the boundary: (H1/2) c(xi')."""
-    return c_xi_prime() * (Scalar.sym("H1") * Fraction(1, 2))
 
 
 def c_endo(fam):
@@ -172,6 +170,11 @@ def _frac(poly, q):
     return RationalSymbol(False, {q: poly})
 
 
+def _i_c_xi(q):
+    """i c(xi) / |xi|^(2q): sigma_1 (q = 0), sigma_{-1} (1), sigma_{-3} (2)."""
+    return _frac([c * Scalar.i() for c in c_xi_poly()], q)
+
+
 def _sandwich(mid, q):
     """c(xi) * mid * c(xi) / |xi|^(2q) as an unrestricted symbol."""
     cx = c_xi_poly()
@@ -179,37 +182,30 @@ def _sandwich(mid, q):
     return _frac(poly, q)
 
 
-def _dxn_block(q):
-    """c(xi) c(dx_n) [d_xn(c(xi'))|xi|^2 - c(xi) H1 |xi'|^2] / |xi|^(2q).
+def _remainder(top, inv):
+    """-inv (d_xin top) (D_xn inv) = i inv (d_xin top) (d_xn inv).
 
-    The j = n summand of the first-order composition remainder; tangential
-    summands vanish at x_0.
+    The first-order remainder of the composition formula for the inverse
+    of a symbol with leading part top and inverse inv; tangential summands
+    vanish at x_0.
     """
-    cx = c_xi_poly()
-    inner = _poly_scale(b_poly(), dxn_c_xi_prime())
-    corr = _poly_scale(cx, Scalar.sym("H1") * b0_scalar())
-    inner = _poly_add(inner, _poly_neg(corr))
-    poly = _poly_mul(_poly_mul(cx, [CE.c(6)]), inner)
-    return _frac(poly, q)
+    return inv * top.derive("xin") * inv.derive("xn") * Scalar.i()
 
 
 def first_order_sigma(family, order):
     """Symbols of the inverse first-order operator at x_0 (orders -1, -2)."""
     if order == -1:
-        poly = [c * Scalar.i() for c in c_xi_poly()]
-        return CatalogEntry(family, -1, _frac(poly, 1))
+        return CatalogEntry(family, -1, _i_c_xi(1))
     if order == -2:
+        untwisted = _sandwich(sigma0_connection(family), 2) \
+            + _remainder(_i_c_xi(0), _i_c_xi(1))
         if family.name == "dirac":
-            core = _sandwich(sigma0_connection(family), 2) + _dxn_block(3)
-            blocks = {"core": core,
+            blocks = {"core": untwisted,
                       "beta": _sandwich(beta_dirac(), 2)}
         else:
-            b123 = _sandwich(sigma0_connection(family), 2) + _dxn_block(3)
-            blocks = {"B123": b123,
+            blocks = {"B123": untwisted,
                       "B4": _sandwich(vartheta(starred=False), 2)}
-        expr = RationalSymbol.zero(False)
-        for b in blocks.values():
-            expr = expr + b
+        expr = sum(blocks.values(), RationalSymbol.zero(False))
         return CatalogEntry(family, -2, expr, blocks)
     raise ValueError("first-order inverse catalog has orders -1 and -2 only")
 
@@ -217,28 +213,17 @@ def first_order_sigma(family, order):
 def _sigma4_dm3():
     """sigma_{-4} of the untwisted inverse cube at x_0 (composition form).
 
-    c(xi) sigma_2(D^3) c(xi)/|xi|^8
-      + c(xi)[c(dx_n)|xi|^2 + 2 xi_n c(xi)]
-             [d_xn(c(xi'))|xi|^2 - 2 c(xi) H1 |xi'|^2] / |xi|^10.
+    c(xi) sigma_2(D^3) c(xi)/|xi|^8 + _remainder(sigma_3, sigma_{-3}).
     """
     cx = c_xi_poly()
-    s2 = sigma2_cube(None).terms[0]
-    first = _frac(_poly_mul(_poly_mul(cx, s2), cx), 4)
-    left = _poly_add(_poly_scale(b_poly(), CE.c(6)),
-                     _poly_mul([CE.scalar(2)], [CE.zero()] + cx))
-    # left = c(dx_n)|xi|^2 + 2 xi_n c(xi)
-    right = _poly_add(_poly_scale(b_poly(), dxn_c_xi_prime()),
-                      _poly_neg(_poly_scale(cx, Scalar.sym("H1") * b0_scalar() * 2)))
-    second = _frac(_poly_mul(_poly_mul(cx, left), right), 5)
-    return first + second
+    first = _frac(_poly_mul(_poly_mul(cx, sigma2_cube(None).terms[0]), cx), 4)
+    return first + _remainder(cubed_sigma(None, 3).expr, _i_c_xi(2))
 
 
 def cubed_sigma(family, order):
     """Leading symbols of the cube (3, 2) and its inverse (-3, -4) at x_0."""
-    cx = c_xi_poly()
     if order == 3:
-        poly = _poly_mul([c * Scalar.i() for c in cx], b_poly())
-        return CatalogEntry(family, 3, _frac(poly, 0))
+        return CatalogEntry(family, 3, _i_c_xi(0) * _frac(b_poly(), 0))
     if order == 2:
         expr = sigma2_cube(family)
         if family.name == "dirac":
@@ -252,8 +237,7 @@ def cubed_sigma(family, order):
                 + _frac(_poly_scale(b_poly(), c_endo("wStar") * Fraction(-1)), 0)
         return CatalogEntry(family, 2, expr + extra)
     if order == -3:
-        poly = [c * Scalar.i() for c in cx]
-        return CatalogEntry(family, -3, _frac(poly, 2))
+        return CatalogEntry(family, -3, _i_c_xi(2))
     if order == -4:
         if family.name == "dirac":
             blocks = {
@@ -270,9 +254,7 @@ def cubed_sigma(family, order):
                 "w": _sandwich(c_endo("wStar") * Fraction(-1), 3)
                      + _frac([c_endo("w")], 2),
             }
-        expr = RationalSymbol.zero(False)
-        for b in blocks.values():
-            expr = expr + b
+        expr = sum(blocks.values(), RationalSymbol.zero(False))
         return CatalogEntry(family, -4, expr, blocks)
     raise ValueError("cube catalog has orders 3, 2, -3, -4 only")
 

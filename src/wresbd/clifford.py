@@ -213,6 +213,9 @@ class CliffordElement:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a scalar-only element hashes as its Scalar
+        if self.terms.keys() <= {((), ())}:
+            return hash(self.terms.get(((), ()), 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self):

@@ -122,7 +122,8 @@ class GRat:
         return (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a real value hashes as its Fraction, like an equal int or Fraction
+        return hash((self.a, self.b, self.d) if self.b else self.re)
 
     def __bool__(self):
         return bool(self.a or self.b)
@@ -301,6 +302,9 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its coefficient, the zero Scalar as 0
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
@@ -464,8 +468,10 @@ def sphere_integrate(s):
     """Integrate a Scalar over the unit sphere in the tangential covariables.
 
     XI-monomials are replaced by their exact moments times OMEGA4; all
-    other symbols pass through as spectators.  The input is reduced to the
-    sphere normal form first, so it may contain arbitrary XI5 powers.
+    other symbols pass through as spectators.  The moment formula is exact
+    for every exponent, so reducing to the sphere normal form first changes
+    no value; it fixes the order of the output terms, which the reports'
+    float evaluation sums in.
     """
     s = reduce_unit_sphere(s)
     out = Scalar.zero()

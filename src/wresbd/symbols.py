@@ -4,8 +4,8 @@ A RationalSymbol is a rational function of xi_n with CliffordElement
 coefficients, in one of two phases:
 
 * unrestricted: denominators are powers of |xi|^2 = SH^2(XI1^2+..+XI5^2)
-  + xi_n^2.  This is the phase where x_n- and tangential derivatives make
-  sense; terms is a dict {q: numerator} for denominator |xi|^(2q).
+  + xi_n^2.  This is the phase where every derivative is taken; terms
+  is a dict {q: numerator} for denominator |xi|^(2q).
 
 * restricted: evaluated at the boundary (SH = 1) on the unit tangential
   sphere, so |xi|^2 = 1 + xi_n^2 = (xi_n - i)(xi_n + i) and denominators
@@ -24,9 +24,9 @@ pi_minus keeps the principal part at -i, and the two sum to the symbol.
 integrate_line evaluates the xi_n integral over the whole real line
 exactly as 2*pi*i times the residue at +i.
 
-Each rule is stated once.  One quotient rule serves every derivative of
-an unrestricted symbol (x_n, xi_n and the tangential covariables).  One
-principal-part expansion at a pole serves pi_plus and pi_minus, and
+Each rule is stated once.  One quotient rule serves every derivative
+(x_n, xi_n and the tangential covariables); a restricted symbol has none.
+One principal-part expansion at a pole serves pi_plus and pi_minus, and
 integrate_line forms only its last coefficient, the residue at +i.
 """
 
@@ -280,13 +280,11 @@ class RationalSymbol:
         """Derivative: var in 'xn', 'xin', 'xi1'..'xi5', 'xprime'.
 
         Tangential base derivatives vanish at the distinguished boundary
-        point (normal coordinates); x_n and tangential covariable
-        derivatives require the unrestricted phase.
+        point (normal coordinates); every other derivative requires the
+        unrestricted phase, where |xi|^2 still carries SH and the XIj.
         """
         if var == "xprime":
             return RationalSymbol.zero(self.restricted)
-        if var == "xin" and self.restricted:
-            return self._derive_xin_restricted()
         if var not in ("xin", "xn") + _XI_VARS:
             raise ValueError("unknown derivative variable %r" % (var,))
         if self.restricted:
@@ -309,20 +307,6 @@ class RationalSymbol:
                 out[q + 1] = _poly_add(out.get(q + 1, []),
                                        _poly_scale(_poly_mul(dB, p), -q))
         return RationalSymbol(False, out)
-
-    def _derive_xin_restricted(self):
-        """d/dxi_n term by term, raising the pole orders in the keys."""
-        out = RationalSymbol.zero(True)
-        for k, p in self.terms.items():
-            d = _poly_deriv(p)
-            if d:
-                out = out + RationalSymbol(True, {k: d})
-            a, b = k
-            if a:
-                out = out + RationalSymbol(True, {(a + 1, b): _poly_scale(p, -a)})
-            if b:
-                out = out + RationalSymbol(True, {(a, b + 1): _poly_scale(p, -b)})
-        return out
 
     def restrict(self):
         """Evaluate at the boundary on the unit tangential sphere.

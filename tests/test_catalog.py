@@ -79,7 +79,7 @@ def test_projected_first_order_derivatives_match_reference(fam):
     s1 = first_order_sigma(fam, -1).expr
     got = pi_plus(s1.derive("xn").restrict())
     assert got.equals(R.paper_form(fam.name, ids["dxn_pp"]), on_sphere=True)
-    got = pi_plus(s1.restrict()).derive("xin")
+    got = pi_plus(s1.derive("xin").restrict())
     assert got.equals(R.paper_form(fam.name, ids["dxi_pp"]), on_sphere=True)
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wresbd.clifford import CliffordElement as CE
 from wresbd.ring import (
     GRat,
     Scalar,
@@ -178,6 +179,53 @@ class TestScalarRingAxioms:
             _assert_canonical(c)
 
 
+# (re, im, extra): a Gaussian rational plus an optional non-constant part
+HASH_SPECS = st.tuples(st.fractions(-2, 2, max_denominator=3),
+                       st.sampled_from([0, 1, Fraction(-1, 2)]),
+                       st.sampled_from([None, "H1", "c1"]))
+
+
+def _wrappings(spec):
+    """The value spec describes, in every type that can hold it."""
+    re, im, extra = spec
+    g = GRat(re, im)
+    if extra == "c1":
+        return [CE.scalar(g) + CE.c(1)]
+    out = [Scalar.from_grat(g), CE.scalar(g)]
+    if extra == "H1":
+        return [x + S("H1") for x in out]
+    out.append(g)
+    if not im:
+        out.append(re)
+        if re.denominator == 1:
+            out.append(int(re))
+    return out
+
+
+class TestHashAgreesWithEquality:
+    @given(HASH_SPECS)
+    def test_one_value_hashes_alike_in_every_type(self, spec):
+        xs = _wrappings(spec)
+        for x in xs:
+            for y in xs:
+                assert x == y
+                assert hash(x) == hash(y)
+
+    @given(HASH_SPECS, HASH_SPECS)
+    def test_equal_values_hash_equal(self, s1, s2):
+        for x in _wrappings(s1):
+            for y in _wrappings(s2):
+                if x == y:
+                    assert hash(x) == hash(y)
+
+    def test_mixed_keys_find_each_other(self):
+        assert {GRat(1): "x"}.get(1) == "x"
+        assert {Scalar.one(): "y"}.get(1) == "y"
+        assert {CE.scalar(1): "z"}.get(1) == "z"
+        assert {Fraction(1, 2): "h"}.get(GRat(Fraction(1, 2))) == "h"
+        assert {0: "o"}.get(Scalar.zero()) == "o"
+
+
 class TestScalarRing:
     def test_commutative_ring(self):
         x = S("H1") + 2 * S("DIMF")
@@ -294,6 +342,17 @@ class TestSphereMoments:
     def test_sum_of_squares_is_total_volume(self):
         s = sum((S(x, 2) for x in XI_SYMBOLS), Scalar.zero())
         assert sphere_integrate(s) == S("OMEGA4")
+
+    @given(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 4, st.integers(0, 6),
+                  st.integers(0, 1)),
+        PAIRS.map(lambda p: GRat(*p)), min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_sphere_reduction_changes_no_integral(self, terms):
+        # keys: XI1..XI4 exponents, the XI5 exponent, the H1 exponent
+        s = sum((Scalar({_normalize_mono(zip(XI_SYMBOLS + ("H1",), k)): c})
+                 for k, c in terms.items()), Scalar.zero())
+        assert sphere_integrate(s) == sphere_integrate(reduce_unit_sphere(s))
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5))
     @settings(max_examples=60, deadline=None)
