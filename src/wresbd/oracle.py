@@ -10,14 +10,18 @@ engine does something nontrivial:
   so endomorphism trace symbols become plain numbers;
 * the sphere integral: the Gamma-function moment formula instead of
   the engine's double-factorial moment table;
-* the xi_n line integral: adaptive quadrature over the real line
-  instead of the residue formula;
+* the xi_n line integral: the midpoint rule in theta = arctan(xi_n),
+  which samples the integrand on the real line only, instead of the
+  residue formula;
 * the case prefactor: computed here from the case's multi-index.
 
 Both integrals are linear, so the oracle takes them in the other order:
 sphere moments of each traced term first, then one quadrature per block
-and pole key.  The representation matrices, and the per-degree exterior
-traces of the (5.29) ledger entry, are defined here and nowhere else.
+and pole key.  It turns each factor coefficient into floats once and
+integrates products of them numerically, so it never forms the engine's
+exact Scalar product.  The representation matrices, and the per-degree
+exterior traces of the (5.29) ledger entry, are defined here and nowhere
+else.
 
 The factor symbols come from the engine's own ``case_factor_pairs``, so
 a fault in the catalog, pi+, the restriction, d/dx_n or d/dxi_n reaches
@@ -29,7 +33,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .boundary import case_factor_pairs
 from .catalog import FAMILIES
@@ -158,6 +161,25 @@ def ext_degree_trace(word, degree):
 _wmat = lru_cache(maxsize=None)(word_matrix)
 
 
+# Gamma((a+1)/2) for even a (zero for odd a) and Gamma((s+5)/2), indexed by
+# XI exponent a and exponent sum s; see _moments.  The products of the two
+# ledgers reach XI exponent 6.
+_MAX_XI_EXP = 48
+_HALF_GAMMA = np.array([math.gamma((a + 1) / 2.0) if a % 2 == 0 else 0.0
+                        for a in range(_MAX_XI_EXP + 1)])
+_SUM_GAMMA = np.array([math.gamma((s + 5) / 2.0)
+                       for s in range(5 * _MAX_XI_EXP + 1)])
+_XI_INDEX = {sym: i for i, sym in enumerate(XI_SYMBOLS)}
+
+
+def _moments(exps):
+    """Sphere moments of integer XI-exponent rows (last axis XI1..XI5)."""
+    if exps.size and (exps.min() < 0 or exps.max() > _MAX_XI_EXP):
+        raise ValueError("XI exponent outside 0..%d" % _MAX_XI_EXP)
+    return (2.0 * _HALF_GAMMA[exps].prod(axis=-1)
+            / _SUM_GAMMA[exps.sum(axis=-1)])
+
+
 def sphere_moment_numeric(exps):
     """Integral of XI1^a1 * ... * XI5^a5 over the unit 4-sphere.
 
@@ -165,31 +187,44 @@ def sphere_moment_numeric(exps):
     zero if any exponent is odd, otherwise
     2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).
     """
-    if any(a % 2 for a in exps):
-        return 0.0
-    num = 2.0
-    for a in exps:
-        num *= math.gamma((a + 1) / 2.0)
-    return num / math.gamma(sum(a + 1 for a in exps) / 2.0)
+    return float(_moments(np.array(exps, dtype=np.intp)))
 
 
-def _sphere_numeric(scalar, env):
-    """Integral of a Scalar over the unit 4-sphere in XI1..XI5.
+def _numeric_coeff(scalar, env):
+    """A Scalar as (XI-exponent rows, complex values), one row per term.
 
-    Each XI-monomial becomes its Gamma-function moment; every other
-    symbol is looked up in `env`.
+    Every symbol other than XI1..XI5 is looked up in `env`.
     """
-    total = 0j
-    for mono, c in scalar.terms.items():
-        exps = [0] * 5
+    exps = np.zeros((len(scalar.terms), 5), dtype=np.intp)
+    vals = np.empty(len(scalar.terms), dtype=complex)
+    for row, (mono, c) in enumerate(scalar.terms.items()):
         v = c.value()
         for sym, e in mono:
-            if sym in XI_SYMBOLS:
-                exps[XI_SYMBOLS.index(sym)] = e
+            if sym in _XI_INDEX:
+                exps[row, _XI_INDEX[sym]] = e
             else:
                 v *= env[sym] ** e
-        total += v * sphere_moment_numeric(exps)
-    return total
+        vals[row] = v
+    return exps, vals
+
+
+def _sphere_product(first, second):
+    """Integral over the unit 4-sphere of the product of two numeric coeffs."""
+    (e1, v1), (e2, v2) = first, second
+    return v1 @ _moments(e1[:, None, :] + e2[None, :, :]) @ v2
+
+
+@lru_cache(maxsize=None)
+def _pair_trace(w1, w2, rep):
+    """tr(M(w1) M(w2)), without forming the product."""
+    return complex((_wmat(w1, rep) * _wmat(w2, rep).T).sum())
+
+
+def _numeric_terms(sym, env):
+    """[(pole key, [[(word, endo word, numeric coeff)] per degree])]."""
+    return [(key, [[(w, e, _numeric_coeff(s, env))
+                    for (w, e), s in ce.terms.items()] for ce in poly])
+            for key, poly in sym.terms.items()]
 
 
 def _pair_integrand_polys(fsym, ssym, rep, assignment, out):
@@ -198,15 +233,17 @@ def _pair_integrand_polys(fsym, ssym, rep, assignment, out):
     out maps the pole key (A, B) -- denominator (xi_n - i)^A (xi_n + i)^B --
     to the list of complex xi_n-polynomial coefficients of the numerator.
     """
-    for k1, p1 in fsym.terms.items():
-        for k2, p2 in ssym.terms.items():
+    first = _numeric_terms(fsym, assignment.env)
+    second = _numeric_terms(ssym, assignment.env)
+    for k1, p1 in first:
+        for k2, p2 in second:
             poly = out.setdefault((k1[0] + k2[0], k1[1] + k2[1]), [])
             for i1, c1 in enumerate(p1):
                 for i2, c2 in enumerate(p2):
                     deg = i1 + i2
-                    for (w1, e1), s1 in c1.terms.items():
-                        for (w2, e2), s2 in c2.terms.items():
-                            tc = np.trace(_wmat(w1, rep) @ _wmat(w2, rep))
+                    for w1, e1, n1 in c1:
+                        for w2, e2, n2 in c2:
+                            tc = _pair_trace(w1, w2, rep)
                             if abs(tc) < 1e-14:
                                 continue
                             te = assignment.endo_trace(e1 + e2)
@@ -214,22 +251,50 @@ def _pair_integrand_polys(fsym, ssym, rep, assignment, out):
                                 continue
                             if len(poly) <= deg:
                                 poly.extend([0j] * (deg + 1 - len(poly)))
-                            poly[deg] += (_sphere_numeric(s1 * s2,
-                                                          assignment.env)
-                                          * tc * te)
+                            poly[deg] += _sphere_product(n1, n2) * tc * te
+
+
+# midpoint rule in theta: the largest node count, and the agreement of two
+# successive sums relative to the sum of |summand|
+_QUAD_MAX_NODES = 4096
+_QUAD_TOL = 1e-13
+
+
+def quad(f):
+    """Integral of f over the real line, and an error estimate.
+
+    Substitutes x = tan(theta) and sums f(tan theta) sec^2(theta) at the
+    midpoints theta_k = -pi/2 + (k + 1/2) pi/N; f takes an array of nodes.
+    N starts at 8 and doubles until two successive sums agree to _QUAD_TOL
+    of the sum of |summand|; the last difference is the error estimate.  The rule is
+    exact on p(x) / ((x-i)^A (x+i)^B) with deg p <= A+B-2 once
+    N >= max(A, B), where the summand is a trigonometric polynomial, and
+    converges geometrically on integrands analytic in a strip (Trefethen
+    and Weideman, SIAM Review 56, 2014).  Raises ArithmeticError when the
+    sums still disagree at _QUAD_MAX_NODES nodes.
+    """
+    n, prev = 8, None
+    while n <= _QUAD_MAX_NODES:
+        theta = (np.arange(n) + 0.5) * (np.pi / n) - np.pi / 2
+        summand = f(np.tan(theta)) / np.cos(theta) ** 2 * (np.pi / n)
+        total = complex(summand.sum())
+        if prev is not None and (abs(total - prev)
+                                 <= _QUAD_TOL * np.abs(summand).sum()):
+            return total, abs(total - prev)
+        n, prev = 2 * n, total
+    raise ArithmeticError("midpoint rule unconverged at %d nodes"
+                          % _QUAD_MAX_NODES)
 
 
 def _line_integral_numeric(poly, key):
-    """Adaptive quadrature of poly(xi_n) / ((xi_n-i)^A (xi_n+i)^B)."""
+    """Midpoint-rule integral of poly(xi_n) / ((xi_n-i)^A (xi_n+i)^B)."""
     a_pow, b_pow = key
     coeffs = list(reversed(poly))  # np.polyval convention
 
     def f(x):
         return np.polyval(coeffs, x) / ((x - 1j) ** a_pow * (x + 1j) ** b_pow)
 
-    val, _ = quad(f, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400,
-                  complex_func=True)
-    return val
+    return quad(f)[0]
 
 
 def oracle_case(family, case, assignment):

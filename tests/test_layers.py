@@ -1,9 +1,10 @@
-"""Layering: the exact engine runs without numpy or scipy.
+"""Layering: the exact engine runs without numpy, and nothing uses scipy.
 
-Parses each engine module and follows its imports inside the package, so
-a numeric dependency pulled in through another module also counts; and
+Parses each module and follows its imports inside the package, so a
+numeric dependency pulled in through another module also counts; and
 runs the engine in a fresh interpreter to check that importing the
-package loads neither.
+package loads neither numpy nor scipy, and that the oracle loads numpy
+only.
 """
 
 import ast
@@ -58,21 +59,26 @@ def test_engine_module_is_numpy_free(module):
 
 def test_oracle_is_where_numpy_lives():
     # guards the check itself: the parser does see the oracle's imports
-    assert NUMERIC <= _reachable_externals("oracle")
+    assert "numpy" in _reachable_externals("oracle")
+    modules = sorted(p.stem for p in PKG.glob("*.py"))
+    assert "oracle" in modules
+    for module in modules:
+        assert "scipy" not in _reachable_externals(module), module
 
 
 def test_package_and_engine_leave_numpy_and_scipy_unloaded():
     # the oracle and ledger names are still reachable from the package,
-    # and reaching one loads the numeric layer
+    # and reaching one loads numpy but not scipy
     code = ("import sys, wresbd\n"
             "wresbd.assemble('dirac')\n"
             "print(sorted(m for m in %r if m in sys.modules))\n"
             "wresbd.build_ledger\n"
-            "print('scipy' in sys.modules)\n" % sorted(NUMERIC))
+            "print(sorted(m for m in %r if m in sys.modules))\n"
+            % (sorted(NUMERIC), sorted(NUMERIC)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PKG.parent), env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout.split()
-    assert out == ["[]", "True"]
+    assert out == ["[]", "['numpy']"]

@@ -1,12 +1,18 @@
 """Independent numeric cross-check of the exact engine."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from wresbd.boundary import CASES, evaluate_case
-from wresbd.oracle import (OracleAssignment, _sphere_numeric, oracle_case,
-                           sphere_moment_numeric)
+from wresbd import ring
+from wresbd.boundary import CASES, case_factor_pairs, evaluate_case
+from wresbd.catalog import FAMILIES
+from wresbd.oracle import (OracleAssignment, _moments, _numeric_coeff,
+                           _pair_integrand_polys, _pair_trace,
+                           _sphere_product, oracle_case, quad,
+                           sphere_moment_numeric, word_matrix)
 from wresbd.ring import GRat, Scalar, sphere_integrate, sphere_moment
 
 OMEGA4 = 8.0 * math.pi ** 2 / 3.0
@@ -32,6 +38,7 @@ def test_numeric_sphere_integral_matches_exact():
     xi = [Scalar.sym("XI%d" % j) for j in range(1, 6)]
     h1, dimf, t = Scalar.sym("H1"), Scalar.sym("DIMF"), Scalar.sym("T:Phi:2")
     scalars = [
+        Scalar.one(),
         Scalar.sym("XI5", 4) * Scalar.rational(3, 7),
         xi[0] * xi[0] * h1 + xi[1] * xi[2] * dimf + Scalar.sym("XI5", 4) * t,
         (xi[0] + xi[4] * Scalar.from_grat(GRat(1, 2)))
@@ -42,9 +49,85 @@ def test_numeric_sphere_integral_matches_exact():
     ]
     for seed in (1, 2):
         env = OracleAssignment(seed).env
-        for s in scalars:
-            exact = complex(sphere_integrate(s).evaluate(env))
-            assert _close(_sphere_numeric(s, env), exact, 1e-12), s
+        for s1, s2 in itertools.product(scalars, repeat=2):
+            exact = complex(sphere_integrate(s1 * s2).evaluate(env))
+            got = _sphere_product(_numeric_coeff(s1, env),
+                                  _numeric_coeff(s2, env))
+            assert _close(got, exact, 1e-12), (s1, s2)
+
+
+@pytest.mark.parametrize("exps", [(-2, 0, 0, 0, 0), (0, 0, 0, 0, 50)])
+def test_moment_table_range_is_checked(exps):
+    # a negative index must not wrap round to the end of the table
+    with pytest.raises(ValueError):
+        _moments(np.array(exps))
+
+
+@pytest.mark.parametrize("rep, kinds", [("spin", ("C",)),
+                                        ("ext", ("C", "CH"))])
+def test_pair_trace_matches_matrix_product(rep, kinds):
+    rng = np.random.default_rng(5)
+    gens = [(kind, j) for kind in kinds for j in range(1, 7)]
+    for _ in range(40):
+        # reduced words: distinct generators in canonical order
+        w1, w2 = (tuple(gens[i] for i in sorted(rng.choice(len(gens), n,
+                                                           replace=False)))
+                  for n in rng.integers(0, 5, size=2))
+        want = np.trace(word_matrix(w1, rep) @ word_matrix(w2, rep))
+        assert abs(_pair_trace(w1, w2, rep) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_quad_closed_forms(k):
+    # int dx / (1 + x^2)^k = pi (2k-3)!! / (2k-2)!!
+    odd = math.prod(range(2 * k - 3, 0, -2))
+    even = math.prod(range(2 * k - 2, 0, -2))
+    val, err = quad(lambda x: 1.0 / (1.0 + x * x) ** k)
+    assert abs(val - math.pi * odd / even) <= 1e-14
+    assert err <= 1e-13
+
+
+def test_quad_matches_scipy_on_random_rationals():
+    scipy_quad = pytest.importorskip("scipy.integrate").quad
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        a_pow, b_pow = (int(v) for v in rng.integers(1, 7, size=2))
+        deg = int(rng.integers(0, a_pow + b_pow - 1))
+        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+
+        def f(x):
+            return (np.polyval(coeffs, x)
+                    / ((x - 1j) ** a_pow * (x + 1j) ** b_pow))
+
+        ref, _ = scipy_quad(f, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13,
+                            limit=400, complex_func=True)
+        got, _ = quad(f)
+        assert abs(got - ref) <= 1e-13 * np.abs(coeffs).max(), (
+            a_pow, b_pow, deg)
+
+
+def test_quad_rejects_a_nonintegrable_integrand():
+    with pytest.raises(ArithmeticError):
+        quad(np.ones_like)
+
+
+def test_integrand_does_not_multiply_scalars(monkeypatch):
+    family = FAMILIES["dirac"]
+    assignment = OracleAssignment(1)
+    pairs = [p for case in CASES
+             for ps in case_factor_pairs(family, case).values() for p in ps]
+    want = {}
+    for fsym, ssym in pairs:
+        _pair_integrand_polys(fsym, ssym, family.rep, assignment, want)
+
+    def refuse(*args):
+        raise AssertionError("the oracle formed an exact Scalar product")
+
+    monkeypatch.setattr(ring.Scalar, "__mul__", refuse)
+    got = {}
+    for fsym, ssym in pairs:
+        _pair_integrand_polys(fsym, ssym, family.rep, assignment, got)
+    assert got == want and any(any(poly) for poly in got.values())
 
 
 def test_assignment_is_reproducible_and_consistent():
