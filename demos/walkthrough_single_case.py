@@ -11,8 +11,7 @@ example of the general term
             d_x'^a d_xin^(j+1) d_xn^k sigma_l ].
 """
 
-from wresbd.boundary import CASES, evaluate_case
-from wresbd.boundary import case_factor_pairs
+from wresbd.boundary import CASES, case_factor_pairs, evaluate_case
 from wresbd.catalog import DIRAC
 
 case = next(c for c in CASES if c.case_id == "b")
@@ -26,7 +25,7 @@ print("second factor splits into %d blocks: %s"
       % (len(pairs), ", ".join(sorted(pairs))))
 print()
 
-result = evaluate_case(DIRAC, case)
+result = evaluate_case(DIRAC, case, pairs)
 for name in sorted(result.blocks):
     print("  block %-5s -> %s" % (name, result.blocks[name].render()))
 print()

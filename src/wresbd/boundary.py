@@ -28,7 +28,6 @@ arithmetic is exact (Gaussian rationals).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .catalog import CliffordElement as CE
 from .catalog import FAMILIES, cubed_sigma, first_order_sigma
@@ -121,7 +120,6 @@ def _first_factor_sym(sym, case, tangent=None):
     return pi_plus(sym.restrict())
 
 
-@lru_cache(maxsize=None)
 def case_factor_pairs(family, case):
     """Prepared factor pairs for one case, keyed by block name.
 
@@ -129,8 +127,7 @@ def case_factor_pairs(family, case):
     (projected first factor, derived second factor) restricted-symbol
     pairs whose traced products, summed and integrated, give that block's
     contribution (before the case prefactor).  Cases without a block split
-    carry the single block name "total".  Cached and shared by the engine
-    and every oracle seed, so callers must not mutate the result.
+    carry the single block name "total".  Built afresh on every call.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
     second_entry = cubed_sigma(family, case.ell)
@@ -158,14 +155,17 @@ def _pair_value(family, first, second):
     return sphere_integrate(integrate_line(integrand))
 
 
-def evaluate_case(family, case):
-    """Exact value of one boundary case, with per-block breakdown."""
+def evaluate_case(family, case, pairs=None):
+    """Exact value of one boundary case, with per-block breakdown, from the
+    case's ``case_factor_pairs`` (built here when `pairs` is None)."""
     family = FAMILIES[family] if isinstance(family, str) else family
+    if pairs is None:
+        pairs = case_factor_pairs(family, case)
     pref = case.prefactor()
     blocks = {}
-    for name, pairs in case_factor_pairs(family, case).items():
+    for name, block_pairs in pairs.items():
         acc = Scalar.zero()
-        for fsym, ssym in pairs:
+        for fsym, ssym in block_pairs:
             acc = acc + _pair_value(family, fsym, ssym)
         blocks[name] = acc * pref
     total = Scalar.zero()

@@ -18,6 +18,7 @@ and JSON output.
 import json
 import re
 
+from . import boundary
 from .boundary import CASES, evaluate_case, substitute_K
 from .catalog import FAMILIES
 from .clifford import trace_ext_degree
@@ -149,10 +150,12 @@ def build_ledger(family, seeds, case_ids=None):
     selected = [c for c in CASES
                 if case_ids is None or c.case_id in case_ids]
     for case in selected:
-        res = evaluate_case(family, case)
+        # called through the module, so a patched builder is the one used
+        pairs = boundary.case_factor_pairs(family, case)
+        res = evaluate_case(family, case, pairs)
         per_seed = []
         for i, (seed, a) in enumerate(zip(seeds, assignments)):
-            oblocks, ototal = oracle_case(family, case, a)
+            oblocks, ototal = oracle_case(family, case, a, pairs)
             per_seed.append((seed, a, oblocks, ototal))
             grand_oracle[i] += ototal
         grand_exact = grand_exact + res.value

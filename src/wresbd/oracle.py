@@ -49,9 +49,9 @@ class OracleAssignment:
     """Seeded numeric values for every free symbol of the computation.
 
     The twisting endomorphisms are drawn as concrete dimF x dimF real
-    matrices; their traces (and pair traces) supply the values of the
-    corresponding trace symbols, so the exact result and the numeric
-    result are evaluated at one consistent data point.
+    matrices; their traces supply the values of the corresponding trace
+    symbols, so the exact result and the numeric result are evaluated at
+    one consistent data point.
     """
 
     def __init__(self, seed):
@@ -73,10 +73,6 @@ class OracleAssignment:
         }
         for (fam, j), m in self.endos.items():
             env["T:%s:%d" % (fam, j)] = float(np.trace(m))
-        for (f1, j1), m1 in self.endos.items():
-            for (f2, j2), m2 in self.endos.items():
-                env["T2:%s:%d:%s:%d" % (f1, j1, f2, j2)] = \
-                    float(np.trace(m1 @ m2))
         self.env = env
 
     def endo_trace(self, word):
@@ -297,20 +293,23 @@ def _line_integral_numeric(poly, key):
     return quad(f)[0]
 
 
-def oracle_case(family, case, assignment):
+def oracle_case(family, case, assignment, pairs=None):
     """Numeric value of one boundary case, with per-block breakdown.
 
     Returns (blocks, total) where blocks maps block name to a complex
     number and total is their sum; directly comparable to the exact
-    CaseResult evaluated at the same assignment.
+    CaseResult evaluated at the same assignment.  `pairs` is the case's
+    ``case_factor_pairs``, built here when None.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
+    if pairs is None:
+        pairs = case_factor_pairs(family, case)
     n = case.nalpha + case.j + case.k + 1
     pref = (-1j) ** n / math.factorial(case.j + case.k + 1)  # alpha! = 1
     blocks = {}
-    for name, pairs in case_factor_pairs(family, case).items():
+    for name, block_pairs in pairs.items():
         polys = {}
-        for fsym, ssym in pairs:
+        for fsym, ssym in block_pairs:
             _pair_integrand_polys(fsym, ssym, family.rep, assignment, polys)
         blocks[name] = pref * sum(
             (_line_integral_numeric(poly, key)

@@ -20,7 +20,7 @@ coefficients in this ring, so the whole pipeline is exact.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import fsum, gcd, lcm
 
 __all__ = [
     "GRat",
@@ -363,14 +363,15 @@ class Scalar:
         return sum(e for s, e in mono if s in XI_SYMBOLS)
 
     def evaluate(self, assignment):
-        """Numeric value given symbol -> number (must cover all symbols)."""
-        total = 0j
+        """Numeric value given symbol -> number (must cover all symbols),
+        summed by fsum, so independent of the order the terms were built in."""
+        vals = []
         for m, c in self.terms.items():
             v = c.value()
             for s, e in m:
                 v *= assignment[s] ** e
-            total += v
-        return total
+            vals.append(v)
+        return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
 
     # -- rendering ------------------------------------------------------
 
@@ -468,12 +469,8 @@ def sphere_integrate(s):
     """Integrate a Scalar over the unit sphere in the tangential covariables.
 
     XI-monomials are replaced by their exact moments times OMEGA4; all
-    other symbols pass through as spectators.  The moment formula is exact
-    for every exponent, so reducing to the sphere normal form first changes
-    no value; it fixes the order of the output terms, which the reports'
-    float evaluation sums in.
+    other symbols pass through as spectators.
     """
-    s = reduce_unit_sphere(s)
     out = Scalar.zero()
     for m, c in s.terms.items():
         exps = [0] * 5

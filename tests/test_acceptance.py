@@ -22,6 +22,7 @@ Six criteria:
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -36,7 +37,7 @@ from wresbd.catalog import (DIRAC, SIGNATURE, _frac, _sandwich, _sigma4_dm3,
                             alpha_dirac, c_endo, cubed_sigma,
                             first_order_sigma, invert_cubed)
 from wresbd.clifford import CliffordElement, normal_form, trace_ext, trace_spin
-from wresbd.ledger import build_ledger, render_text
+from wresbd.ledger import build_ledger, render_json, render_text
 from wresbd.oracle import (OracleAssignment, ext_degree_trace, rep_matrix,
                            word_matrix)
 from wresbd.ring import Scalar
@@ -213,6 +214,17 @@ _REQUIRED_IDS = {
 }
 
 
+def _split_oracle(report):
+    """A JSON report without its oracle values, and those values in order."""
+    data = json.loads(report)
+    rows = [row for e in data["entries"] for row in e["seeds"]]
+    values = [complex(row["oracle"]["re"], row["oracle"]["im"])
+              for row in rows]
+    for row in rows:
+        del row["oracle"]
+    return data, values
+
+
 class TestFullLedgers:
     def test_both_families_three_seeds(self):
         start = time.monotonic()
@@ -229,6 +241,16 @@ class TestFullLedgers:
             # `wresbd verify --family F --seeds 1,2,3 --format text`
             golden = DATA / ("report_%s.txt" % fam)
             assert text == golden.read_text(encoding="utf-8")
+            # and to the committed `--format json` report: every key,
+            # string, flag and exact float equal, each oracle value within
+            # 1e-13 of its modulus
+            got, got_oracle = _split_oracle(render_json(ledger))
+            want, want_oracle = _split_oracle(
+                (DATA / ("report_%s.json" % fam)).read_text(encoding="utf-8"))
+            assert got == want
+            assert len(got_oracle) == len(want_oracle)
+            for g, w in zip(got_oracle, want_oracle):
+                assert abs(g - w) <= 1e-13 * abs(w), (g, w)
             # totals appear side by side: engine total, published total,
             # and the mean-curvature (theorem) form after substitution
             total_id, theorem_id = (("(3.65)", "(3.67)")

@@ -11,7 +11,7 @@ stage independently.
 import pytest
 
 from wresbd import boundary
-from wresbd.boundary import BoundaryCase, case_factor_pairs
+from wresbd.boundary import BoundaryCase
 from wresbd.ledger import build_ledger
 from wresbd.symbols import RationalSymbol
 
@@ -31,13 +31,6 @@ def _doubled_derive(var):
         out = derive(sym, v)
         return out * 2 if v == var else out
     return faulty
-
-
-@pytest.fixture
-def cold_cache():
-    case_factor_pairs.cache_clear()
-    yield
-    case_factor_pairs.cache_clear()
 
 
 @pytest.mark.parametrize("family, owner, attr, fault", [
@@ -62,7 +55,7 @@ def cold_cache():
                  marks=_SHARED, id="derive-xin"),
 ])
 def test_oracle_catches_doubled_stage(family, owner, attr, fault,
-                                      monkeypatch, cold_cache):
+                                      monkeypatch):
     monkeypatch.setattr(owner, attr, fault)
     ledger = build_ledger(family, [1], case_ids={"aII"})
     assert ledger["all_match_oracle"] is False

@@ -4,10 +4,12 @@ Parses each module and follows its imports inside the package, so a
 numeric dependency pulled in through another module also counts; and
 runs the engine in a fresh interpreter to check that importing the
 package loads neither numpy nor scipy, and that the oracle loads numpy
-only.
+only.  Also checks that every name the benchmark's tracer hooks still
+exists.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -82,3 +84,13 @@ def test_package_and_engine_leave_numpy_and_scipy_unloaded():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout.split()
     assert out == ["[]", "['numpy']"]
+
+
+def test_every_benchmark_hook_resolves():
+    # a hook whose target has moved makes its per-layer metrics read null
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module, attr in tracer.HOOKS:
+        assert tracer._resolve(module, attr) is not None, (module, attr)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wresbd import boundary, ledger
 from wresbd.ledger import build_ledger, render_json, render_text
 
 
@@ -68,3 +69,31 @@ def test_empty_case_selection_rejected(case_ids):
     # an empty selection must not give an empty, vacuously matching ledger
     with pytest.raises(ValueError, match="no case selected"):
         build_ledger("dirac", [1], case_ids=case_ids)
+
+
+def test_factor_pairs_built_once_per_case(monkeypatch):
+    # the engine and every oracle seed of a case read the one set of
+    # pairs the ledger built for it
+    build = boundary.case_factor_pairs
+    evaluate, oracle = ledger.evaluate_case, ledger.oracle_case
+    built, passed = [], {}
+
+    def record_build(family, case):
+        built.append(build(family, case))
+        return built[-1]
+
+    def record_evaluate(family, case, pairs=None):
+        passed[case.case_id] = [pairs]
+        return evaluate(family, case, pairs)
+
+    def record_oracle(family, case, assignment, pairs=None):
+        passed[case.case_id].append(pairs)
+        return oracle(family, case, assignment, pairs)
+
+    monkeypatch.setattr(boundary, "case_factor_pairs", record_build)
+    monkeypatch.setattr(ledger, "evaluate_case", record_evaluate)
+    monkeypatch.setattr(ledger, "oracle_case", record_oracle)
+    build_ledger("dirac", [1, 2])
+    assert len(built) == 5 and len(passed) == 5
+    for pairs, used in zip(built, passed.values()):
+        assert len(used) == 3 and all(p is pairs for p in used)

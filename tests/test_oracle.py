@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wresbd import ring
-from wresbd.boundary import CASES, case_factor_pairs, evaluate_case
+from wresbd.boundary import (CASES, assemble, case_factor_pairs,
+                             evaluate_case)
 from wresbd.catalog import FAMILIES
 from wresbd.oracle import (OracleAssignment, _moments, _numeric_coeff,
                            _pair_integrand_polys, _pair_trace,
@@ -143,6 +144,19 @@ def test_assignment_is_reproducible_and_consistent():
         if key.startswith("T:"):
             _, fam, j = key.split(":")
             assert _close(val, a.endo_trace(((fam, int(j)),)), 1e-12)
+
+
+def test_assignment_holds_only_single_traces():
+    # no case value or block reads a pair trace, so the assignment holds
+    # none, and a T2 symbol that reached evaluation would fail loudly
+    for fam in ("dirac", "signature"):
+        results, _ = assemble(fam)
+        for res in results.values():
+            for val in [res.value, *res.blocks.values()]:
+                assert not any(sym.startswith("T2:") for mono in val.terms
+                               for sym, _ in mono), (fam, res.case.case_id)
+    with pytest.raises(KeyError):
+        Scalar.sym("T2:Phi:1:PhiStar:2").evaluate(OracleAssignment(1).env)
 
 
 def test_distinct_seeds_differ():

@@ -251,6 +251,14 @@ class TestScalarRing:
         v = s.evaluate({"H1": 3.0, "PI": math.pi})
         assert v == pytest.approx(1.5 + 1j * math.pi)
 
+    def test_evaluate_is_independent_of_term_order(self):
+        # 1e16 + 1 rounds back to 1e16 in a left-to-right float sum
+        big, neg = Scalar.sym("H1", 1, 10 ** 16), Scalar.sym("K", 1, -10 ** 16)
+        env = {"H1": 1.0, "K": 1.0}
+        for s in (big + 1 + neg, big + neg + 1):
+            v = s.evaluate(env)
+            assert (v.real.hex(), v.imag.hex()) == ((1.0).hex(), (0.0).hex())
+
     def test_d_xn_weights_sh(self):
         # d/dx_n (SH^k) = (k/2) H1 SH^k at the boundary point
         s = S("SH", 2) * S("XI1")
