@@ -21,8 +21,9 @@ sigma_l those of its inverse cube.  With the available symbol orders
 
 Each case is evaluated through one pipeline: every derivative on the
 unrestricted symbol (d_xin^k commutes with pi^+), restriction to the
-boundary fibre, half-line projection on the first factor, product, fibre
-trace, exact xi_n line integral, exact sphere integral, prefactor.  All
+boundary fibre, half-line projection on the first factor, fibre trace of
+the equal-word pairs of the two factors (the only products with a trace),
+exact xi_n line integral, exact sphere integral, prefactor.  All
 arithmetic is exact (Gaussian rationals).
 """
 
@@ -89,12 +90,34 @@ CASES = [
 ]
 
 
-def _trace_symbol(family, sym):
-    """Apply the family fibre trace coefficientwise."""
+def _trace_symbol(family, first, second):
+    """Fibre trace of first * second, coefficientwise, from equal-word pairs.
+
+    Two reduced Clifford words multiply to the empty word, the only one with
+    a trace, exactly when they are equal.  No such product shows a CH word
+    to the spin trace, so the spin family rejects one in either factor here.
+    """
+    if family.rep == "spin" and any(
+            ce.has_ch() for sym in (first, second)
+            for poly in sym.terms.values() for ce in poly):
+        raise ValueError("CH generators have no spin representation")
+    by_word = {}
+    for key, poly in second.terms.items():
+        for j, ce in enumerate(poly):
+            for (w, e), c in ce.terms.items():
+                by_word.setdefault(w, []).append((key, j, CE({(w, e): c})))
     out = {}
-    for key, poly in sym.terms.items():
-        out[key] = [CE.scalar(family.trace(c)) for c in poly]
-    return RationalSymbol(sym.restricted, out)
+    for (a, b), poly in first.terms.items():
+        for i, ce in enumerate(poly):
+            for (w, e), c in ce.terms.items():
+                left = CE({(w, e): c})
+                for (a2, b2), j, right in by_word.get(w, ()):
+                    acc = out.setdefault((a + a2, b + b2), {})
+                    acc[i + j] = acc.get(i + j, CE.zero()) + left * right
+    return RationalSymbol(True, {
+        key: [CE.scalar(family.trace(acc.get(d, CE.zero())))
+              for d in range(max(acc) + 1)]
+        for key, acc in out.items()})
 
 
 def _second_factor_sym(sym, case):
@@ -151,7 +174,9 @@ def case_factor_pairs(family, case):
 
 
 def _pair_value(family, first, second):
-    integrand = _trace_symbol(family, first * second)
+    """Sphere and xi_n integrals of tr[first * second], before the case
+    prefactor; the product is never formed beyond its traced part."""
+    integrand = _trace_symbol(family, first, second)
     return sphere_integrate(integrate_line(integrand))
 
 

@@ -347,15 +347,28 @@ class Scalar:
         return out
 
     def substitute(self, mapping):
-        """Replace symbols by Scalars (other symbols pass through)."""
+        """Replace symbols by Scalars (other symbols pass through).
+
+        A constant replacement, such as SH = 1 at restriction, scales the
+        coefficient; only a non-constant one is multiplied in.
+        """
+        reps = {s: Scalar._coerce(r) for s, r in mapping.items()}
         out = Scalar.zero()
         for m, c in self.terms.items():
-            term = Scalar({tuple((s, e) for s, e in m if s not in mapping): c})
+            rest, factors = [], []
             for s, e in m:
-                if s in mapping:
-                    rep = Scalar._coerce(mapping[s])
-                    for _ in range(e):
-                        term = term * rep
+                rep = reps.get(s)
+                if rep is None:
+                    rest.append((s, e))
+                elif rep.terms.keys() <= {()}:
+                    k = rep.terms.get((), 0)
+                    for _ in range(abs(e)):
+                        c = c * k if e > 0 else c / k
+                else:
+                    factors += [rep] * e
+            term = Scalar({tuple(rest): c})
+            for rep in factors:
+                term = term * rep
             out = out + term
         return out
 

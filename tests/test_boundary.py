@@ -1,12 +1,19 @@
 """Boundary-case enumeration and exact evaluation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from wresbd import refdata as R
-from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
+from wresbd.boundary import (CASES, _pair_value, _trace_symbol, assemble,
+                             case_factor_pairs, evaluate_case, substitute_K)
+from wresbd.catalog import FAMILIES
+from wresbd.clifford import CliffordElement as CE
+from wresbd.oracle import (OracleAssignment, _line_integral_numeric,
+                           _pair_integrand_polys)
 from wresbd.ring import GRat, Scalar
+from wresbd.symbols import RationalSymbol
 
 FAMS = ["dirac", "signature"]
 
@@ -144,3 +151,158 @@ def test_curvature_substitution_coefficient():
     expected = (Scalar.sym("K") * Scalar.rational(Fraction(-14, 5))
                 + Scalar.sym("DIMF"))
     assert (out - expected).is_zero()
+
+
+# -- the trace pairs only equal words -----------------------------------------
+
+_ENDOS = (("sigmaF", 1), ("Phi", 2), ("PhiStar", 4), ("w", 6))
+
+
+def _traced_product(family, first, second):
+    """The fibre trace of the whole product first * second, coefficientwise."""
+    return RationalSymbol(True, {
+        key: [CE.scalar(family.trace(c)) for c in poly]
+        for key, poly in (first * second).terms.items()})
+
+
+def _random_coeff(rng, words):
+    """A sum of one to three terms: a Gaussian integer, possibly times an
+    XI, times a word drawn from `words`, possibly times one endomorphism."""
+    out = CE.zero()
+    for _ in range(rng.randint(1, 3)):
+        c = Scalar.from_grat(GRat(rng.randint(-3, 3), rng.randint(-3, 3)))
+        if rng.random() < 0.5:
+            c = c * Scalar.sym("XI%d" % rng.randint(1, 5), rng.randint(1, 2))
+        term = CE.word(rng.choice(words), c)
+        if rng.random() < 0.5:
+            term = term * CE.endo(*rng.choice(_ENDOS))
+        out = out + term
+    return out
+
+
+def _random_factor(rng, words):
+    """A random proper restricted symbol over the given generator words, so
+    that the product of two of them is integrable over xi_n."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        if a == b == 0:
+            a = 1
+        terms[(a, b)] = [_random_coeff(rng, words)
+                         for _ in range(rng.randint(1, a + b))]
+    return RationalSymbol(True, terms)
+
+
+def _random_pair(rng, fam):
+    """Two random factors whose words come from one small pool, so that
+    equal words meet often; CH generators only for the signature family."""
+    kinds = ("C",) if fam == "dirac" else ("C", "CH")
+    words = [()] + [[(rng.choice(kinds), rng.randint(1, 6))
+                     for _ in range(rng.randint(1, 3))] for _ in range(3)]
+    return _random_factor(rng, words), _random_factor(rng, words)
+
+
+@pytest.mark.parametrize("fam", FAMS)
+def test_trace_symbol_on_ledger_pairs_is_the_traced_product(fam):
+    family = FAMILIES[fam]
+    count = 0
+    for case in CASES:
+        for block_pairs in case_factor_pairs(family, case).values():
+            for first, second in block_pairs:
+                assert (_trace_symbol(family, first, second).terms
+                        == _traced_product(family, first, second).terms)
+                count += 1
+    assert count == 13
+
+
+@pytest.mark.parametrize("fam", FAMS)
+def test_trace_symbol_on_random_pairs_is_the_traced_product(fam):
+    family = FAMILIES[fam]
+    rng = random.Random(17)
+    for _ in range(60):
+        first, second = _random_pair(rng, fam)
+        assert (_trace_symbol(family, first, second).terms
+                == _traced_product(family, first, second).terms)
+
+
+def _single(ce, key=(1, 1)):
+    return RationalSymbol(True, {key: [ce]})
+
+
+@pytest.mark.parametrize("fam, word, square", [
+    ("dirac", [("C", 2)], -1),
+    ("signature", [("C", 5)], -1),
+    ("signature", [("CH", 3)], 1),
+    ("signature", [("C", 1), ("CH", 4)], 1),
+    ("dirac", [("C", 1), ("C", 3), ("C", 6)], 1),
+])
+def test_equal_words_square_to_a_sign(fam, word, square):
+    family = FAMILIES[fam]
+    first = _single(CE.word(word, Scalar.sym("XI1")), (1, 2))
+    second = _single(CE.word(word, 3))
+    got = _trace_symbol(family, first, second)
+    dim = 8 if fam == "dirac" else 64
+    want = Scalar.sym("XI1") * Scalar.sym("DIMF") * (3 * dim * square)
+    assert got.terms == {(2, 3): [CE.scalar(want)]}
+    assert got.terms == _traced_product(family, first, second).terms
+
+
+@pytest.mark.parametrize("fam, left, right", [
+    ("dirac", [("C", 1)], [("C", 2)]),
+    ("dirac", [], [("C", 2), ("C", 4)]),
+    ("signature", [("CH", 1)], [("C", 1)]),
+    ("signature", [("C", 3), ("CH", 3)], []),
+])
+def test_pairs_sharing_no_word_trace_to_zero(fam, left, right):
+    family = FAMILIES[fam]
+    first, second = _single(CE.word(left, 2)), _single(CE.word(right, 5))
+    assert _trace_symbol(family, first, second).is_zero()
+    assert _traced_product(family, first, second).is_zero()
+
+
+@pytest.mark.parametrize("ch_in", ["first", "second", "both"])
+def test_dirac_pair_with_a_ch_word_is_rejected(ch_in):
+    ch, c = _single(CE.ch(2) + CE.c(1)), _single(CE.c(1))
+    first = ch if ch_in in ("first", "both") else c
+    second = ch if ch_in in ("second", "both") else c
+    with pytest.raises(ValueError, match="CH generators"):
+        _trace_symbol(FAMILIES["dirac"], first, second)
+
+
+@pytest.mark.parametrize("fam", FAMS)
+def test_matched_pair_with_three_endomorphisms_is_rejected(fam):
+    two = CE.c(3) * CE.endo("Phi", 1) * CE.endo("Phi", 2)
+    first, second = _single(two), _single(CE.c(3) * CE.endo("w", 1))
+    with pytest.raises(ValueError, match="endomorphism word of length 3"):
+        _trace_symbol(FAMILIES[fam], first, second)
+
+
+def _env_with_pair_traces(value, assignment):
+    """The assignment's values plus the T2 pair traces `value` holds."""
+    env = dict(assignment.env)
+    for mono in value.terms:
+        for sym, _ in mono:
+            if sym.startswith("T2:"):
+                f1, j1, f2, j2 = sym.split(":")[1:]
+                env[sym] = assignment.endo_trace(
+                    ((f1, int(j1)), (f2, int(j2))))
+    return env
+
+
+@pytest.mark.parametrize("fam", FAMS)
+def test_pair_value_matches_the_oracle_on_random_pairs(fam):
+    family = FAMILIES[fam]
+    assignment = OracleAssignment(5)
+    rng = random.Random(23)
+    nonzero = 0
+    for _ in range(25):
+        first, second = _random_pair(rng, fam)
+        exact = _pair_value(family, first, second)
+        want = exact.evaluate(_env_with_pair_traces(exact, assignment))
+        polys = {}
+        _pair_integrand_polys(first, second, family.rep, assignment, polys)
+        got = sum((_line_integral_numeric(poly, key)
+                   for key, poly in polys.items() if any(poly)), 0j)
+        assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+        nonzero += abs(want) > 1e-6
+    assert nonzero >= 10

@@ -23,6 +23,7 @@ from wresbd.ring import (
     sphere_integrate,
     sphere_moment,
 )
+from wresbd.symbols import RationalSymbol
 
 
 def S(name, exp=1):
@@ -245,6 +246,26 @@ class TestScalarRing:
         s = S("H1") * S("PI")
         out = s.substitute({"H1": Scalar.rational(-2, 5) * S("K")})
         assert out == Scalar.rational(-2, 5) * S("K") * S("PI")
+
+    def test_constant_substitution_cancels_and_restrict_drops_the_key(self):
+        emptied = S("SH", 2) * S("XI1") - S("XI1")
+        assert emptied.substitute({"SH": 1}) == Scalar.zero()
+        assert emptied.substitute({"SH": 1}).is_zero()
+        sym = RationalSymbol(False, {2: [CE.scalar(emptied)], 1: [CE.one()]})
+        assert list(sym.restrict().terms) == [(1, 1)]
+
+    def test_symbol_mapped_to_zero_removes_its_monomials(self):
+        s = 3 * S("H1") * S("XI1") + 2 * S("XI2") - S("H1", 2)
+        assert s.substitute({"H1": 0}) == 2 * S("XI2")
+        assert s.substitute({"H1": Scalar.zero()}) == 2 * S("XI2")
+
+    @given(SCALARS, PAIRS.filter(any).map(lambda p: GRat(*p)))
+    def test_constant_substitution_evaluates_alike(self, s, c):
+        env = {sym: 0.5 + 0.1 * k for k, sym in enumerate(ALPHABET)}
+        cval = c.value()
+        want = s.evaluate(env | {"SH": cval})
+        got = s.substitute({"SH": c}).evaluate(env)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_evaluate(self):
         s = Scalar.rational(1, 2) * S("H1") + Scalar.i() * S("PI")
