@@ -22,9 +22,10 @@ coordinates (straight metric with collar factor h(x_n), h(0)=1, h'(0)=H1):
   q_{-4} = -p_3^{-1} [p_2 p_3^{-1} + sum_j d_{xi_j} p_3 D_{x_j} p_3^{-1}],
   which cross-checks the catalog forms through entirely generic machinery.
 
-The untwisted sigma_{-2} block and the D1 block of sigma_{-4} take their
-composition remainder -q (d_xin p)(D_xn q) from one _remainder, built on
-the symbol calculus's derivative; the twisting blocks are sandwich forms.
+sigma_0 and the cube's sigma_2 are stated once, in _pieces, by the block of
+the inverse each piece feeds.  One parametrix step, _parametrix, builds
+sigma_{-2} and sigma_{-4} from them: each piece P gives -inv P inv in closed
+form, and the untwisted block adds the remainder -inv (d_xin top)(D_xn inv).
 """
 
 from fractions import Fraction
@@ -69,16 +70,11 @@ FAMILIES = {"dirac": DIRAC, "signature": SIGNATURE}
 class CatalogEntry:
     """One catalog symbol with optional named sub-blocks (blocks sum to expr)."""
 
-    __slots__ = ("family", "order", "expr", "blocks")
+    __slots__ = ("expr", "blocks")
 
-    def __init__(self, family, order, expr, blocks=None):
-        self.family = family
-        self.order = order
+    def __init__(self, expr, blocks=None):
         self.expr = expr
         self.blocks = blocks or {}
-
-    def __repr__(self):
-        return "CatalogEntry(%s, order %d)" % (self.family.name, self.order)
 
 
 # -- geometric building blocks at the boundary point -----------------------
@@ -144,8 +140,8 @@ def sigma0_connection(family):
     return out
 
 
-def sigma2_cube(family):
-    """Second symbol of the cube at x_0 (family independent in shape).
+def sigma2_cube():
+    """Untwisted second symbol of the cube at x_0, as a xi_n-polynomial.
 
     c(xi)(4 sigma^k - 2 Gamma^k) xi_k - (1/4)|xi|^2 H1 c(dx_n), where at the
     boundary point 4 sigma^k xi_k = H1 sum_{k<6} XIk c(e_k) c(dx_n) and
@@ -160,7 +156,32 @@ def sigma2_cube(family):
     poly = _poly_mul(c_xi_poly(), inner)
     corr = _poly_scale(b_poly(), Scalar.sym("H1") * Fraction(-1, 4))
     corr = [c * CE.c(6) for c in corr]
-    return RationalSymbol(False, {0: _poly_add(poly, corr)})
+    return _poly_add(poly, corr)
+
+
+def _pieces(family, order):
+    """sigma_0 (order 0) or the cube's sigma_2 (order 2), piece by piece.
+
+    Maps each block of the inverse's next symbol (sigma_{-2} or sigma_{-4})
+    to the pieces that feed it, the untwisted block first.  A piece (s, mid)
+    with s in {0, 1} stands for |xi|^(2s) mid, and (None, mid) for
+    c(xi) mid c(xi); mid is a xi_n-polynomial.
+    """
+    if order == 0:
+        untwisted = [(0, [sigma0_connection(family)])]
+        if family.name == "dirac":
+            return {"core": untwisted, "beta": [(0, [beta_dirac()])]}
+        return {"B123": untwisted, "B4": [(0, [vartheta(starred=False)])]}
+    if family.name == "dirac":
+        return {"D1": [(0, sigma2_cube())],
+                "D2": [(1, [alpha_dirac()])],
+                "D3": [(1, [c_endo("PhiStar") * Fraction(-2)])],
+                "D4": [(None, [c_endo("Phi") * Fraction(-2)])]}
+    return {"D1": [(0, sigma2_cube())],
+            "p": [(1, [p_signature()])],
+            "thetastar": [(1, [vartheta(starred=True)])],
+            "w": [(1, [c_endo("wStar") * Fraction(-1)]),
+                  (None, [c_endo("w")])]}
 
 
 # -- catalog entries ---------------------------------------------------------
@@ -176,10 +197,10 @@ def _i_c_xi(q):
 
 
 def _sandwich(mid, q):
-    """c(xi) * mid * c(xi) / |xi|^(2q) as an unrestricted symbol."""
+    """c(xi) * mid * c(xi) / |xi|^(2q), mid an element or a xi_n-polynomial."""
     cx = c_xi_poly()
-    poly = _poly_mul(_poly_mul(cx, [mid]), cx)
-    return _frac(poly, q)
+    mid = [mid] if isinstance(mid, CE) else mid
+    return _frac(_poly_mul(_poly_mul(cx, mid), cx), q)
 
 
 def _remainder(top, inv):
@@ -192,70 +213,49 @@ def _remainder(top, inv):
     return inv * top.derive("xin") * inv.derive("xn") * Scalar.i()
 
 
+def _parametrix(family, order, top):
+    """Next inverse symbol, block by block, from the pieces of one order.
+
+    With inv = i c(xi)/|xi|^(2q) the inverse of top (q = 1 for the
+    operator, 2 for its cube), each piece P of _pieces(family, order)
+    contributes -inv P inv = c(xi) P c(xi)/|xi|^(4q).  By c(xi)^2 = -|xi|^2
+    that is _sandwich(mid, 2q - s), or mid/|xi|^(4q - 4) for a sandwiched
+    piece.  The untwisted block also takes _remainder(top, inv).
+    """
+    q = order // 2 + 1
+    blocks = {}
+    for name, pieces in _pieces(family, order).items():
+        parts = [_frac(mid, 2 * q - 2) if s is None
+                 else _sandwich(mid, 2 * q - s) for s, mid in pieces]
+        if not blocks:
+            parts.append(_remainder(top, _i_c_xi(q)))
+        blocks[name] = sum(parts[1:], parts[0])
+    expr = sum(blocks.values(), RationalSymbol.zero(False))
+    return CatalogEntry(expr, blocks)
+
+
 def first_order_sigma(family, order):
     """Symbols of the inverse first-order operator at x_0 (orders -1, -2)."""
     if order == -1:
-        return CatalogEntry(family, -1, _i_c_xi(1))
+        return CatalogEntry(_i_c_xi(1))
     if order == -2:
-        untwisted = _sandwich(sigma0_connection(family), 2) \
-            + _remainder(_i_c_xi(0), _i_c_xi(1))
-        if family.name == "dirac":
-            blocks = {"core": untwisted,
-                      "beta": _sandwich(beta_dirac(), 2)}
-        else:
-            blocks = {"B123": untwisted,
-                      "B4": _sandwich(vartheta(starred=False), 2)}
-        expr = sum(blocks.values(), RationalSymbol.zero(False))
-        return CatalogEntry(family, -2, expr, blocks)
+        return _parametrix(family, 0, _i_c_xi(0))
     raise ValueError("first-order inverse catalog has orders -1 and -2 only")
-
-
-def _sigma4_dm3():
-    """sigma_{-4} of the untwisted inverse cube at x_0 (composition form).
-
-    c(xi) sigma_2(D^3) c(xi)/|xi|^8 + _remainder(sigma_3, sigma_{-3}).
-    """
-    cx = c_xi_poly()
-    first = _frac(_poly_mul(_poly_mul(cx, sigma2_cube(None).terms[0]), cx), 4)
-    return first + _remainder(cubed_sigma(None, 3).expr, _i_c_xi(2))
 
 
 def cubed_sigma(family, order):
     """Leading symbols of the cube (3, 2) and its inverse (-3, -4) at x_0."""
     if order == 3:
-        return CatalogEntry(family, 3, _i_c_xi(0) * _frac(b_poly(), 0))
+        return CatalogEntry(_i_c_xi(0) * _frac(b_poly(), 0))
     if order == 2:
-        expr = sigma2_cube(family)
-        if family.name == "dirac":
-            extra = _frac(_poly_scale(b_poly(), alpha_dirac()), 0) \
-                + _sandwich(c_endo("Phi") * Fraction(-2), 0) \
-                + _frac(_poly_scale(b_poly(), c_endo("PhiStar") * Fraction(-2)), 0)
-        else:
-            extra = _frac(_poly_scale(
-                b_poly(), p_signature() + vartheta(starred=True)), 0) \
-                + _sandwich(c_endo("w"), 0) \
-                + _frac(_poly_scale(b_poly(), c_endo("wStar") * Fraction(-1)), 0)
-        return CatalogEntry(family, 2, expr + extra)
+        parts = [_sandwich(mid, 0) if s is None
+                 else _frac(_poly_mul(b_poly(), mid) if s else mid, 0)
+                 for pieces in _pieces(family, 2).values() for s, mid in pieces]
+        return CatalogEntry(sum(parts, RationalSymbol.zero(False)))
     if order == -3:
-        return CatalogEntry(family, -3, _i_c_xi(2))
+        return CatalogEntry(_i_c_xi(2))
     if order == -4:
-        if family.name == "dirac":
-            blocks = {
-                "D1": _sigma4_dm3(),
-                "D2": _sandwich(alpha_dirac(), 3),
-                "D3": _sandwich(c_endo("PhiStar") * Fraction(-2), 3),
-                "D4": _frac([c_endo("Phi") * Fraction(-2)], 2),
-            }
-        else:
-            blocks = {
-                "D1": _sigma4_dm3(),
-                "p": _sandwich(p_signature(), 3),
-                "thetastar": _sandwich(vartheta(starred=True), 3),
-                "w": _sandwich(c_endo("wStar") * Fraction(-1), 3)
-                     + _frac([c_endo("w")], 2),
-            }
-        expr = sum(blocks.values(), RationalSymbol.zero(False))
-        return CatalogEntry(family, -4, expr, blocks)
+        return _parametrix(family, 2, cubed_sigma(family, 3).expr)
     raise ValueError("cube catalog has orders 3, 2, -3, -4 only")
 
 
@@ -267,12 +267,11 @@ def invert_cubed(family):
     """
     p3 = cubed_sigma(family, 3).expr
     p2 = cubed_sigma(family, 2).expr
-    q3 = _frac([c * Scalar.i() for c in c_xi_poly()], 2)
+    q3 = _i_c_xi(2)
     if not (p3 * q3).equals(RationalSymbol.constant(CE.one())):
         raise AssertionError("q_{-3} is not inverse to p_3")
     minus_i = Scalar.from_grat(GRat(0, -1))
-    inner = p2 * q3
-    inner = inner + p3.derive("xin") * (q3.derive("xn") * minus_i)
+    inner = p2 * q3 + p3.derive("xin") * (q3.derive("xn") * minus_i)
     for j in range(1, 6):
         inner = inner + p3.derive("xi%d" % j) * (q3.derive("xprime") * minus_i)
     q4 = -(q3 * inner)

@@ -350,7 +350,8 @@ class Scalar:
         """Replace symbols by Scalars (other symbols pass through).
 
         A constant replacement, such as SH = 1 at restriction, scales the
-        coefficient; only a non-constant one is multiplied in.
+        coefficient; only a non-constant one is multiplied in, so it may
+        replace positive powers only (a negative one raises ValueError).
         """
         reps = {s: Scalar._coerce(r) for s, r in mapping.items()}
         out = Scalar.zero()
@@ -364,6 +365,9 @@ class Scalar:
                     k = rep.terms.get((), 0)
                     for _ in range(abs(e)):
                         c = c * k if e > 0 else c / k
+                elif e < 0:
+                    raise ValueError("cannot substitute the non-constant %s "
+                                     "into %s**%d" % (rep, s, e))
                 else:
                     factors += [rep] * e
             term = Scalar({tuple(rest): c})

@@ -355,6 +355,8 @@ class RationalSymbol:
         With on_sphere=True (restricted phase only) the comparison is
         modulo the unit-sphere relation in the tangential covariables.
         """
+        if on_sphere and not self.restricted:
+            raise ValueError("on_sphere compares restricted symbols only")
         other = self._coerce(other)
         self._same_phase(other)
         diff = self - other

@@ -9,7 +9,7 @@ Six criteria:
    complementarity on 100 seeded symbols, and the residue-formula line
    integral against quadrature on a 200-function corpus at 1e-8;
 3. catalog consistency -- the generic composition recursion reproduces the
-   hand-built inverse-cube symbols exactly, and the stated derivative
+   catalog's inverse-cube symbols exactly, and the stated derivative
    forms match the published ones.  Three of the published forms contain
    misprints (documented and exactly characterized in test_catalog.py,
    with the engine side confirmed by the numeric oracle); those three
@@ -33,9 +33,9 @@ import pytest
 from test_symbols import _quad_complex, random_restricted
 from wresbd import refdata as R
 from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
-from wresbd.catalog import (DIRAC, SIGNATURE, _frac, _sandwich, _sigma4_dm3,
-                            alpha_dirac, c_endo, cubed_sigma,
-                            first_order_sigma, invert_cubed)
+from wresbd.catalog import (DIRAC, SIGNATURE, _frac, _sandwich, alpha_dirac,
+                            c_endo, cubed_sigma, first_order_sigma,
+                            invert_cubed)
 from wresbd.clifford import CliffordElement, normal_form, trace_ext, trace_spin
 from wresbd.ledger import build_ledger, render_json, render_text
 from wresbd.oracle import (OracleAssignment, ext_degree_trace, rep_matrix,
@@ -169,7 +169,8 @@ class TestCatalogConsistency:
         got = {
             "(3.15)": lambda: q3d.derive("xin").derive("xin").restrict(),
             "(3.21)": lambda: q3d.derive("xin").derive("xn").restrict(),
-            "(3.31)": lambda: _sigma4_dm3().derive("xin").restrict(),
+            "(3.31)": lambda: cubed_sigma(DIRAC, -4).blocks["D1"]
+                .derive("xin").restrict(),
             "(3.34)": lambda: _sandwich(alpha_dirac(), 3)
                 .derive("xin").restrict(),
             "(3.39)": lambda: _sandwich(c_endo("PhiStar"), 3)
@@ -177,7 +178,8 @@ class TestCatalogConsistency:
             "(3.44)": lambda: _frac([c_endo("Phi")], 2)
                 .derive("xin").restrict(),
             "(3.56)": lambda: q3d.derive("xin").restrict(),
-            "(5.41)": lambda: _sigma4_dm3().derive("xin").restrict(),
+            "(5.41)": lambda: cubed_sigma(SIGNATURE, -4).blocks["D1"]
+                .derive("xin").restrict(),
         }[eq_id]()
         fam = "dirac" if eq_id.startswith("(3") else "signature"
         assert got.equals(R.paper_form(fam, eq_id), on_sphere=True)

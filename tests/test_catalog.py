@@ -3,8 +3,11 @@
 Two kinds of test live here:
 
 * internal consistency -- the inverse-cube symbols recomputed through the
-  generic composition recursion must equal the hand-built catalog forms,
-  and every catalog entry must be homogeneous of its stated order;
+  generic composition recursion must equal the catalog forms, each block
+  of sigma_{-2} and sigma_{-4} must equal the composition step applied to
+  the piece of sigma_0 or sigma_2 it is named for, formed with generic
+  symbol products, and every catalog entry must be homogeneous of its
+  stated order;
 * reference comparison -- engine symbols are compared against the
   published intermediate forms.  Where the published form contains a
   misprint the test asserts the *documented disagreement* (the engine side
@@ -18,8 +21,8 @@ from wresbd import catalog as C
 from wresbd import refdata as R
 from wresbd.catalog import (DIRAC, FAMILIES, SIGNATURE, alpha_dirac, c_endo,
                             cubed_sigma, first_order_sigma, invert_cubed,
-                            p_signature, _frac, _sandwich, _sigma4_dm3)
-from wresbd.symbols import RationalSymbol, pi_plus
+                            p_signature, _frac, _sandwich)
+from wresbd.symbols import RationalSymbol, b_poly, pi_plus
 
 FAMS = [DIRAC, SIGNATURE]
 
@@ -32,6 +35,52 @@ def test_inverse_cube_recursion_matches_catalog(fam):
     q3, q4 = invert_cubed(fam)
     assert q3.equals(cubed_sigma(fam, -3).expr)
     assert q4.equals(cubed_sigma(fam, -4).expr)
+
+
+def _stated_pieces(fam, order):
+    """sigma_0 (order 0) or the cube's sigma_2 (order 2) split by the block
+    of the inverse each piece feeds, as the reference names the blocks."""
+    const = RationalSymbol.constant
+    b = _frac(b_poly(), 0)
+    cx = _frac(C.c_xi_poly(), 0)
+    dirac = fam.name == "dirac"
+    if order == 0:
+        untwisted = const(C.sigma0_connection(fam))
+        if dirac:
+            return {"core": untwisted, "beta": const(C.beta_dirac())}
+        return {"B123": untwisted, "B4": const(C.vartheta(starred=False))}
+    untwisted = _frac(C.sigma2_cube(), 0)
+    if dirac:
+        return {"D1": untwisted,
+                "D2": b * const(alpha_dirac()),
+                "D3": b * const(c_endo("PhiStar")) * -2,
+                "D4": cx * const(c_endo("Phi")) * cx * -2}
+    return {"D1": untwisted,
+            "p": b * const(p_signature()),
+            "thetastar": b * const(C.vartheta(starred=True)),
+            "w": cx * const(c_endo("w")) * cx - b * const(c_endo("wStar"))}
+
+
+@pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
+@pytest.mark.parametrize("order", [0, 2])
+def test_blocks_are_the_composition_step_of_their_pieces(fam, order):
+    """The block fed by piece P is -inv P inv, plus the composition
+    remainder on the untwisted block, formed with generic products."""
+    if order == 0:
+        entry = first_order_sigma(fam, -2)
+        top, inv = C._i_c_xi(0), first_order_sigma(fam, -1).expr
+    else:
+        entry = cubed_sigma(fam, -4)
+        top, inv = cubed_sigma(fam, 3).expr, cubed_sigma(fam, -3).expr
+        total = sum(_stated_pieces(fam, 2).values(), RationalSymbol.zero())
+        assert total.equals(cubed_sigma(fam, 2).expr)
+    pieces = _stated_pieces(fam, order)
+    assert list(entry.blocks) == list(pieces)
+    for k, (name, piece) in enumerate(pieces.items()):
+        want = -(inv * piece * inv)
+        if k == 0:
+            want = want + C._remainder(top, inv)
+        assert entry.blocks[name].equals(want), name
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
@@ -146,7 +195,7 @@ def test_untwisted_inverse_cube_subleading_misprints(fam):
     and the numeric oracle) disagrees with both printed expressions."""
     s4_id, ds4_id = (("(3.30)", "(3.31)") if fam.name == "dirac"
                      else ("(5.40)", "(5.41)"))
-    s4 = _sigma4_dm3()
+    s4 = cubed_sigma(fam, -4).blocks["D1"]
     assert not s4.restrict().equals(R.paper_form(fam.name, s4_id),
                                     on_sphere=True)
     assert not s4.derive("xin").restrict().equals(

@@ -247,6 +247,11 @@ class TestScalarRing:
         out = s.substitute({"H1": Scalar.rational(-2, 5) * S("K")})
         assert out == Scalar.rational(-2, 5) * S("K") * S("PI")
 
+    def test_negative_power_needs_a_constant_replacement(self):
+        with pytest.raises(ValueError, match="non-constant"):
+            S("H1", -1).substitute({"H1": S("K")})
+        assert S("H1", -2).substitute({"H1": 2}) == Scalar.rational(1, 4)
+
     def test_constant_substitution_cancels_and_restrict_drops_the_key(self):
         emptied = S("SH", 2) * S("XI1") - S("XI1")
         assert emptied.substitute({"SH": 1}) == Scalar.zero()

@@ -295,6 +295,18 @@ class TestRestriction:
         assert list(r.terms) == [(2, 2)]
         assert r.terms[(2, 2)][0] == CE.scalar(Scalar.sym("XI3"))
 
+    def test_sphere_comparison_needs_restricted_symbols(self):
+        # the XIs are free before restriction: sum XIj^2 / |xi|^2 is not
+        # 1 / |xi|^2, and on_sphere must not reduce them as if they were
+        xi2 = sum((Scalar.sym("XI%d" % j, 2) for j in range(1, 6)),
+                  Scalar.zero())
+        lhs = RationalSymbol(False, {1: [CE.scalar(xi2)]})
+        rhs = RationalSymbol(False, {1: [CE.one()]})
+        assert not lhs.equals(rhs)
+        with pytest.raises(ValueError, match="restricted"):
+            lhs.equals(rhs, on_sphere=True)
+        assert lhs.restrict().equals(rhs.restrict(), on_sphere=True)
+
     def test_mixing_phases_rejected(self):
         rng = random.Random(1)
         with pytest.raises(ValueError):
