@@ -27,6 +27,7 @@ exact xi_n line integral, exact sphere integral, prefactor.  All
 arithmetic is exact (Gaussian rationals).
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,14 +61,9 @@ class BoundaryCase:
     def prefactor(self):
         """(-i)^(|alpha|+j+k+1) / (alpha!(j+k+1)!) as an exact Scalar."""
         n = self.nalpha + self.j + self.k + 1
-        val = GRat(1)
-        for _ in range(n):
-            val = val * GRat(0, -1)
-        fact = 1
-        for m in range(2, self.j + self.k + 2):
-            fact *= m
         # alpha! = 1 for |alpha| <= 1
-        return Scalar.from_grat(val * GRat(Fraction(1, fact)))
+        return Scalar.from_grat(GRat(0, -1) ** n
+                                / math.factorial(self.j + self.k + 1))
 
 
 @dataclass

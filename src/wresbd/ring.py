@@ -111,6 +111,14 @@ class GRat:
         f = other.d
         return _grat((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("GRat power needs an exponent >= 0, got %r" % (n,))
+        a, b = 1, 0
+        for _ in range(n):
+            a, b = a * self.a - b * self.b, a * self.b + b * self.a
+        return _grat(a, b, self.d ** n)
+
     def __neg__(self):
         return _grat(-self.a, -self.b, self.d)
 
@@ -441,8 +449,11 @@ def sphere_moment(exps):
     the sphere volume: integral of prod xi_j^(e_j) dsigma = moment * OMEGA4.
 
     Zero when any exponent is odd; for exponents 2a_j the value is
-    prod (2a_j - 1)!! / prod_{m=1..A} (3 + 2m) with A = sum a_j.
+    prod (2a_j - 1)!! / prod_{m=1..A} (3 + 2m) with A = sum a_j.  A negative
+    exponent raises ValueError: near xi_j = 0 that integral diverges.
     """
+    if any(e < 0 for e in exps):
+        raise ValueError("sphere moment of a negative power: %r" % (exps,))
     if any(e % 2 for e in exps):
         return Fraction(0)
     num = 1

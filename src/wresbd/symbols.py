@@ -26,11 +26,14 @@ exactly as 2*pi*i times the residue at +i.
 
 Each rule is stated once.  One quotient rule serves every derivative
 (x_n, xi_n and the tangential covariables); a restricted symbol has none.
-One principal-part expansion at a pole serves pi_plus and pi_minus, and
-integrate_line forms only its last coefficient, the residue at +i.
+One expansion at a pole, the Gaussian-rational weights of _pole_weights
+for each numerator power, serves pi_plus, pi_minus and integrate_line:
+the projections scale every numerator coefficient by all of its weights,
+the line integral by the last one, the residue at +i.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .clifford import CliffordElement
@@ -102,55 +105,26 @@ def _poly_map(p, f):
     return _trim([c.map_scalars(f) for c in p])
 
 
-def _grat_poly(coeffs):
-    """Lift a list of GRat/int/Fraction to a CliffordElement poly."""
-    return _trim([CE.scalar(c) for c in coeffs])
-
-
 def _binomial_pole_poly(root, n):
-    """(xi - root)^n as a GRat coefficient list, root = +/- i."""
-    out = []
-    for k in range(n + 1):
-        out.append(GRat(0, 0) + comb(n, k) * _grat_pow(-root, n - k))
-    return out
+    """(xi - root)^n as a CliffordElement poly, root = +/- i."""
+    return [CE.scalar(comb(n, k) * (-root) ** (n - k)) for k in range(n + 1)]
 
 
-def _grat_pow(x, n):
-    r = GRat(1, 0)
-    for _ in range(n):
-        r = r * x
-    return r
+@lru_cache(maxsize=None)
+def _pole_weights(root, n, m, d):
+    """Principal part at xi = root of xi^d / ((xi - root)^n (xi + root)^m).
 
-
-def _shift_series(p, center, length):
-    """First `length` Taylor coefficients of p(center + u) in u."""
-    out = [CE.zero() for _ in range(length)]
-    for m, c in enumerate(p):
-        if c.is_zero():
-            continue
-        for k in range(min(m, length - 1) + 1):
-            out[k] = out[k] + c * (comb(m, k) * _grat_pow(center, m - k))
-    return out
-
-
-def _inv_shifted_pole_series(delta, n, length):
-    """Taylor coefficients of (u + delta)^(-n) in u, delta = +/- 2i."""
-    inv = GRat(1, 0) / delta
-    out = []
-    for m in range(length):
-        c = Fraction((-1) ** m) * comb(n + m - 1, m) if n > 0 else Fraction(m == 0)
-        out.append(c * _grat_pow(inv, n + m))
-    return out
-
-
-def _series_mul(p, q, length):
-    out = [CE.zero() for _ in range(length)]
-    for i, a in enumerate(p[:length]):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q[: length - i]):
-            out[i + j] = out[i + j] + a * b
-    return out
+    With xi = root + u these are the u^t coefficients, t < n, of
+    (u + root)^d (u + 2 root)^-m; weight t belongs to (xi - root)^(t - n),
+    so the last one is the residue.  Empty when n = 0.
+    """
+    inv = GRat(1) / (root * 2)
+    shift = [comb(d, k) * root ** (d - k) for k in range(min(d, n - 1) + 1)]
+    tail = [inv ** m]
+    for s in range(n - 1):
+        tail.append(tail[-1] * inv * Fraction(-(m + s), s + 1))
+    return tuple(sum(shift[k] * tail[t - k] for k in range(min(t, d) + 1))
+                 for t in range(n))
 
 
 def _principal_part(p, root, n, m):
@@ -159,8 +133,12 @@ def _principal_part(p, root, n, m):
     Returns the coefficients of (xi - root)^-n, ..., (xi - root)^-1;
     empty when n = 0.
     """
-    series = _inv_shifted_pole_series(root * 2, m, n)
-    return _series_mul(_shift_series(p, root, n), _grat_poly(series), n)
+    out = [CE.zero()] * n
+    for d, c in enumerate(p):
+        for t, w in enumerate(_pole_weights(root, n, m, d)):
+            if w:
+                out[t] = out[t] + c * w
+    return out
 
 
 _I = GRat(0, 1)
@@ -335,8 +313,8 @@ class RationalSymbol:
             bmax = max((k[1] for k in self.terms), default=0)
             num = []
             for (a, b), p in self.terms.items():
-                lift = _poly_mul(_grat_poly(_binomial_pole_poly(_I, amax - a)),
-                                 _grat_poly(_binomial_pole_poly(_MINUS_I, bmax - b)))
+                lift = _poly_mul(_binomial_pole_poly(_I, amax - a),
+                                 _binomial_pole_poly(_MINUS_I, bmax - b))
                 num = _poly_add(num, _poly_mul(lift, p))
             return (amax, bmax), num
         qmax = max(self.terms, default=0)
@@ -448,26 +426,30 @@ def pi_minus(sym):
 def integrate_line(sym):
     """Exact integral over xi_n of a scalar-valued restricted symbol.
 
-    Equal to 2*pi*i times the residue at xi_n = +i; returns a Scalar with
-    an explicit PI factor.  Raises NotIntegrable unless the integrand
-    decays at least like |xi_n|^-2.
+    Equal to 2*pi*i times the residue at xi_n = +i, summed term by term
+    from the pole weights; returns a Scalar with an explicit PI factor.
+    Every term must be proper (numerator degree below a + b, as for every
+    symbol of negative order); then the integrand decays like |xi_n|^-2
+    unless the top coefficients p[a+b-1], its 1/xi_n tail, sum to nonzero.
+    A non-proper term or a surviving tail raises NotIntegrable.
     """
     if not sym.restricted:
         raise ValueError("integrate over xi_n after restriction")
     if any(w or e for p in sym.terms.values() for ce in p for w, e in ce.terms):
         raise ValueError("integrate_line needs scalar coefficients; "
                          "take the trace first")
-    (A, B), num = sym._common()
-    if not num:
-        return Scalar.zero()
-    deg = len(num) - 1
-    if deg > A + B - 2:
-        raise NotIntegrable("integrand decays like |xi_n|^%d" % (deg - A - B))
-    if A == 0:
-        return Scalar.zero()
-    # the residue is the (xi_n - i)^-1 coefficient of the principal part
-    shifted = _shift_series(num, _I, A)
-    series = _inv_shifted_pole_series(_I * 2, B, A)
-    coeff = sum((shifted[k] * series[A - 1 - k] for k in range(A)), CE.zero())
-    scal = coeff.terms.get(((), ()), Scalar.zero())
-    return Scalar.sym("PI") * (scal * GRat(0, 2))
+    zero = Scalar.zero()
+    residue = tail = zero
+    for (a, b), p in sym.terms.items():
+        p = [ce.terms.get(((), ()), zero) for ce in p]
+        if len(p) > a + b:
+            raise NotIntegrable("term of xi_n-degree %d over (xi_n - i)^%d "
+                                "(xi_n + i)^%d" % (len(p) - 1, a, b))
+        if len(p) == a + b:
+            tail = tail + p[-1]
+        for d, c in enumerate(p):
+            if a and c.terms:
+                residue = residue + c * _pole_weights(_I, a, b, d)[-1]
+    if tail.terms:
+        raise NotIntegrable("integrand decays like |xi_n|^-1")
+    return Scalar.sym("PI") * (residue * GRat(0, 2))

@@ -130,6 +130,17 @@ class TestGRatAgainstFractionPairs:
     def test_negation(self, x):
         _assert_matches(-GRat(*x), (-x[0], -x[1]))
 
+    @given(x=PAIRS, n=st.integers(0, 6))
+    def test_power(self, x, n):
+        want = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            want = _ref_op(operator.mul, want, x)
+        _assert_matches(GRat(*x) ** n, want)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="exponent"):
+            GRat(2, 1) ** -1
+
     @given(x=PAIRS, y=PAIRS, k=st.integers(1, 30))
     def test_equality_and_hash(self, x, y, k):
         g = GRat(*x)
@@ -368,10 +379,17 @@ class TestSphereMoments:
         s = S("H1") * S("XI1", 2) * S("XI2", 2)
         assert sphere_integrate(s) == Scalar.rational(1, 35) * S("H1") * S("OMEGA4")
 
-    def test_integrate_reduces_first(self):
-        # xi5^2 -> 1 - sum xi_j^2 : integral = (1 - 4/5) * Omega4 = Omega4/5
+    def test_integrate_uses_exact_moment(self):
+        # XI5^2 has the exact moment 1/5, as every single squared XIj has
         s = S("XI5", 2)
         assert sphere_integrate(s) == Scalar.rational(1, 5) * S("OMEGA4")
+
+    def test_negative_exponent_diverges(self):
+        for exps in [(-2, 0, 0, 0, 0), (0, 0, 0, -1, 2)]:
+            with pytest.raises(ValueError, match="negative"):
+                sphere_moment(exps)
+        with pytest.raises(ValueError, match="negative"):
+            sphere_integrate(S("XI1", -2))
 
     def test_sum_of_squares_is_total_volume(self):
         s = sum((S(x, 2) for x in XI_SYMBOLS), Scalar.zero())

@@ -260,6 +260,36 @@ class TestIntegrateLine:
         with pytest.raises(NotIntegrable):
             integrate_line(RationalSymbol(True, {(1, 1): [CE.zero(), CE.one(), CE.one()]}))
 
+    def test_cancelling_tails_integrate(self):
+        # 1/(xi_n - i) - 1/(xi_n + i) = 2i/(1 + xi_n^2): each term decays
+        # like 1/xi_n, their sum like 1/xi_n^2
+        s = RationalSymbol(True, {(1, 0): [CE.one()], (0, 1): [CE.scalar(-1)]})
+        assert integrate_line(s) == Scalar.sym("PI") * GRat(0, 2)
+
+    def test_surviving_tail_rejected(self):
+        s = RationalSymbol(True, {(1, 0): [CE.one()], (0, 1): [CE.one()]})
+        with pytest.raises(NotIntegrable, match="decays like"):
+            integrate_line(s)
+
+    def test_residue_is_the_simple_pole_of_pi_plus(self):
+        # on the random scalar corpus the line integral is 2*pi*i times the
+        # (xi_n - i)^-1 coefficient of pi_plus; what it rejects decays
+        # only like 1/xi_n (its tail is a nonzero Gaussian integer)
+        rng = random.Random(77)
+        rejected = 0
+        for _ in range(200):
+            s = random_restricted(rng, proper=True, with_xi=False, clifford=False)
+            try:
+                got = integrate_line(s)
+            except NotIntegrable:
+                rejected += 1
+                assert abs(1e6 * s.evaluate(1e6, {})) > 0.5
+                continue
+            simple = pi_plus(s).terms.get((1, 0), [CE.zero()])[0]
+            want = simple.terms.get(((), ()), Scalar.zero())
+            assert got == Scalar.sym("PI") * want * GRat(0, 2)
+        assert 0 < rejected < 200
+
     @pytest.mark.parametrize("word", [CE.c(2), CE.endo("Phi", 1)],
                              ids=["clifford", "endomorphism"])
     def test_nonscalar_integrand_rejected(self, word):
