@@ -6,7 +6,7 @@ Layers, bottom to top (numpy is used by the oracle only):
 * :mod:`wresbd.clifford` -- Clifford/endomorphism words, normal form,
   one symbolic trace rule for the spin and exterior modules;
 * :mod:`wresbd.symbols` -- rational symbols in the normal covariable,
-  Wiener-Hopf projections, residue line integral;
+  the boundary projection pi+, residue line integral;
 * :mod:`wresbd.catalog` -- operator-family symbol catalogs and the
   composition recursion that rederives them;
 * :mod:`wresbd.boundary` -- case enumeration, exact case evaluation,
@@ -27,10 +27,8 @@ from .catalog import (DIRAC, FAMILIES, SIGNATURE, CatalogEntry,
                       OperatorFamily, cubed_sigma, first_order_sigma,
                       invert_cubed)
 from .clifford import CliffordElement, normal_form, trace_ext, trace_spin
-from .ring import (GRat, Scalar, reduce_unit_sphere, sphere_integrate,
-                   sphere_moment)
-from .symbols import (NotIntegrable, RationalSymbol, integrate_line,
-                      pi_minus, pi_plus)
+from .ring import GRat, Scalar, sphere_integrate, sphere_moment
+from .symbols import NotIntegrable, RationalSymbol, integrate_line, pi_plus
 
 # the numeric names, imported on first use (PEP 562)
 _LAZY = {"build_ledger": "ledger", "render_json": "ledger",
@@ -70,9 +68,7 @@ __all__ = [
     "invert_cubed",
     "normal_form",
     "oracle_case",
-    "pi_minus",
     "pi_plus",
-    "reduce_unit_sphere",
     "render_json",
     "render_text",
     "sphere_integrate",

@@ -80,14 +80,6 @@ def normal_form(word):
     return sign, tuple(out)
 
 
-def _coerce_scalar(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction, GRat)):
-        return Scalar.from_grat(x)
-    raise TypeError("cannot use %r as a coefficient" % (x,))
-
-
 class CliffordElement:
     """Linear combination of (clifford word, endomorphism word) pairs."""
 
@@ -97,7 +89,7 @@ class CliffordElement:
         self.terms = {}
         if terms:
             for k, c in terms.items():
-                c = _coerce_scalar(c)
+                c = Scalar._coerce(c)
                 if not c.is_zero():
                     self.terms[k] = c
 
@@ -109,7 +101,7 @@ class CliffordElement:
 
     @classmethod
     def scalar(cls, c):
-        c = _coerce_scalar(c)
+        c = Scalar._coerce(c)
         return cls({((), ()): c})
 
     @classmethod
@@ -119,7 +111,7 @@ class CliffordElement:
     @classmethod
     def gen(cls, kind, j, coeff=1):
         _check_gen((kind, j))
-        return cls({(((kind, j),), ()): _coerce_scalar(coeff)})
+        return cls({(((kind, j),), ()): Scalar._coerce(coeff)})
 
     @classmethod
     def c(cls, j, coeff=1):
@@ -131,12 +123,12 @@ class CliffordElement:
 
     @classmethod
     def endo(cls, fam, j, coeff=1):
-        return cls({((), ((fam, j),)): _coerce_scalar(coeff)})
+        return cls({((), ((fam, j),)): Scalar._coerce(coeff)})
 
     @classmethod
     def word(cls, gens, coeff=1):
         sign, w = normal_form(tuple(gens))
-        c = _coerce_scalar(coeff)
+        c = Scalar._coerce(coeff)
         return cls({(w, ()): -c if sign < 0 else c})
 
     # -- algebra ----------------------------------------------------------
@@ -173,14 +165,8 @@ class CliffordElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GRat, Scalar)):
-            c0 = _coerce_scalar(other)
-            r = CliffordElement.__new__(CliffordElement)
-            r.terms = {}
-            for k, c in self.terms.items():
-                v = c * c0
-                if not v.is_zero():
-                    r.terms[k] = v
-            return r
+            c0 = Scalar._coerce(other)
+            return self.map_scalars(lambda c: c * c0)
         other = self._coerce(other)
         out = {}
         for (w1, e1), c1 in self.terms.items():
@@ -200,10 +186,7 @@ class CliffordElement:
         r.terms = out
         return r
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GRat, Scalar)):
-            return self * other
-        return self._coerce(other) * self
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         try:

@@ -23,47 +23,13 @@ from .boundary import CASES, evaluate_case, substitute_K
 from .catalog import FAMILIES
 from .clifford import trace_ext_degree
 from .oracle import OracleAssignment, ext_degree_trace, oracle_case
-from .refdata import INTERIOR_TERMS, paper_value
+from .refdata import INTERIOR_TERMS, PUBLISHED
 from .ring import Scalar
 
 __all__ = ["build_ledger", "render_text", "render_json", "REL_TOL"]
 
 REL_TOL = 1e-8
 _ABS_FLOOR = 1e-10
-
-# equation id for every reported quantity: (case id, block or None) -> id
-_EQ_MAP = {
-    "dirac": {
-        ("aI", None): "(3.12)",
-        ("aII", None): "(3.18)",
-        ("aIII", None): "(3.23)",
-        ("b", "D1"): "(3.33)",
-        ("b", "D2"): "(3.38)",
-        ("b", "D3"): "(3.43)",
-        ("b", "D4"): "(3.48)",
-        ("b", None): "(3.49)",
-        ("c", "core"): "(3.59)",
-        ("c", "beta"): "(3.63)",
-        ("c", None): "(3.64)",
-    },
-    "signature": {
-        ("aI", None): "(5.5)",
-        ("aII", None): "(5.10)",
-        ("aIII", None): "(5.15)",
-        ("b", "D1"): "(5.43)",
-        ("b", "p"): "(5.45)",
-        ("b", "thetastar"): "(5.47)",
-        ("b", "w"): "(5.48)",
-        ("b", None): "(5.49)",
-        ("c", "B123"): "(5.35)",
-        ("c", "B4"): "(5.36)",
-        ("c", None): "(5.37)",
-    },
-}
-
-_TOTAL_IDS = {"dirac": ("(3.65)", "(3.67)"),
-              "signature": ("(5.50)", "(5.52)")}
-
 
 def _cnum(z):
     z = complex(z)
@@ -75,8 +41,8 @@ def _match(a, b):
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), _ABS_FLOOR)
 
 
-def _entry(eq_id, case_id, block, exact, family_name, oracle_values):
-    ref = paper_value(family_name, eq_id)
+def _entry(case_id, block, exact, family_name, oracle_values):
+    eq_id, ref = PUBLISHED[family_name][(case_id, block)]
     seed_rows = []
     all_match = True
     for seed, assignment, oval in oracle_values:
@@ -159,24 +125,20 @@ def build_ledger(family, seeds, case_ids=None):
             per_seed.append((seed, a, oblocks, ototal))
             grand_oracle[i] += ototal
         grand_exact = grand_exact + res.value
-        emap = _EQ_MAP[family.name]
         if len(res.blocks) > 1:
             for name, bval in res.blocks.items():
-                eq_id = emap[(case.case_id, name)]
                 ovals = [(s, a, ob[name]) for s, a, ob, _ in per_seed]
-                entries.append(_entry(eq_id, case.case_id, name, bval,
+                entries.append(_entry(case.case_id, name, bval,
                                       family.name, ovals))
-        eq_id = emap[(case.case_id, None)]
         ovals = [(s, a, ot) for s, a, _, ot in per_seed]
-        entries.append(_entry(eq_id, case.case_id, None, res.value,
-                              family.name, ovals))
+        entries.append(_entry(case.case_id, None, res.value, family.name,
+                              ovals))
 
     if case_ids is None:
-        total_id, theorem_id = _TOTAL_IDS[family.name]
         ovals = list(zip(seeds, assignments, grand_oracle))
-        entries.append(_entry(total_id, "total", None, grand_exact,
-                              family.name, ovals))
-        entries.append(_entry(theorem_id, "total", "mean-curvature form",
+        entries.append(_entry("total", None, grand_exact, family.name,
+                              ovals))
+        entries.append(_entry("total", "mean-curvature form",
                               substitute_K(grand_exact), family.name,
                               ovals))
         if family.name == "signature":

@@ -39,8 +39,8 @@ from .catalog import FAMILIES
 from .clifford import EXT_DIM, SPIN_DIM, _check_gen
 from .ring import XI_SYMBOLS
 
-__all__ = ["OracleAssignment", "oracle_case", "sphere_moment_numeric",
-           "rep_matrix", "word_matrix", "ext_degree_trace"]
+__all__ = ["OracleAssignment", "oracle_case", "rep_matrix", "word_matrix",
+           "ext_degree_trace"]
 
 _ALL_ENDO_FAMS = ("sigmaF", "Phi", "PhiStar", "sigmaFe", "w", "wStar")
 
@@ -174,16 +174,6 @@ def _moments(exps):
         raise ValueError("XI exponent outside 0..%d" % _MAX_XI_EXP)
     return (2.0 * _HALF_GAMMA[exps].prod(axis=-1)
             / _SUM_GAMMA[exps.sum(axis=-1)])
-
-
-def sphere_moment_numeric(exps):
-    """Integral of XI1^a1 * ... * XI5^a5 over the unit 4-sphere.
-
-    Gamma-function formula for monomial moments on S^{d-1} in R^5:
-    zero if any exponent is odd, otherwise
-    2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).
-    """
-    return float(_moments(np.array(exps, dtype=np.intp)))
 
 
 def _numeric_coeff(scalar, env):

@@ -27,7 +27,6 @@ __all__ = [
     "Scalar",
     "XI_SYMBOLS",
     "sphere_moment",
-    "reduce_unit_sphere",
     "sphere_integrate",
 ]
 
@@ -384,9 +383,6 @@ class Scalar:
             out = out + term
         return out
 
-    def xi_degree_of(self, mono):
-        return sum(e for s, e in mono if s in XI_SYMBOLS)
-
     def evaluate(self, assignment):
         """Numeric value given symbol -> number (must cover all symbols),
         summed by fsum, so independent of the order the terms were built in."""
@@ -465,32 +461,6 @@ def sphere_moment(exps):
     for m in range(1, a_total + 1):
         den *= 3 + 2 * m
     return Fraction(num, den)
-
-
-def reduce_unit_sphere(s):
-    """Normal form modulo the unit-sphere relation XI1^2+...+XI5^2 = 1.
-
-    Rewrites XI5^2 -> 1 - XI1^2 - XI2^2 - XI3^2 - XI4^2 until the XI5
-    exponent is at most 1 everywhere.  Only meaningful after restriction
-    to the boundary sphere (SH already set to 1).
-    """
-    rep = Scalar.one()
-    for name in XI_SYMBOLS[:4]:
-        rep = rep - Scalar.sym(name, 2)
-    out = Scalar.zero()
-    work = [(m, c) for m, c in s.terms.items()]
-    while work:
-        m, c = work.pop()
-        e5 = dict(m).get("XI5", 0)
-        if e5 < 2:
-            out = out + Scalar({m: c})
-            continue
-        rest = [(sym, x) for sym, x in m if sym != "XI5"]
-        if e5 - 2:
-            rest.append(("XI5", e5 - 2))
-        base = Scalar({_normalize_mono(rest): c}) * rep
-        work.extend(base.terms.items())
-    return out
 
 
 def sphere_integrate(s):

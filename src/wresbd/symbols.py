@@ -19,17 +19,16 @@ the sphere later.
 
 The boundary projection pi_plus keeps the principal part at the pole
 xi_n = +i of a proper restricted symbol (numerator degree below the
-denominator degree in every term, as for every symbol of negative order);
-pi_minus keeps the principal part at -i, and the two sum to the symbol.
+denominator degree in every term, as for every symbol of negative order).
 integrate_line evaluates the xi_n integral over the whole real line
 exactly as 2*pi*i times the residue at +i.
 
 Each rule is stated once.  One quotient rule serves every derivative
 (x_n, xi_n and the tangential covariables); a restricted symbol has none.
 One expansion at a pole, the Gaussian-rational weights of _pole_weights
-for each numerator power, serves pi_plus, pi_minus and integrate_line:
-the projections scale every numerator coefficient by all of its weights,
-the line integral by the last one, the residue at +i.
+for each numerator power, serves pi_plus and integrate_line: the
+projection scales every numerator coefficient by all of its weights, the
+line integral by the last one, the residue at +i.
 """
 
 from fractions import Fraction
@@ -37,12 +36,11 @@ from functools import lru_cache
 from math import comb
 
 from .clifford import CliffordElement
-from .ring import GRat, Scalar, reduce_unit_sphere
+from .ring import GRat, Scalar
 
 __all__ = [
     "RationalSymbol",
     "pi_plus",
-    "pi_minus",
     "integrate_line",
     "NotIntegrable",
 ]
@@ -327,64 +325,10 @@ class RationalSymbol:
             num = _poly_add(num, _poly_mul(lift, p))
         return qmax, num
 
-    def equals(self, other, on_sphere=False):
-        """Exact equality as rational functions.
-
-        With on_sphere=True (restricted phase only) the comparison is
-        modulo the unit-sphere relation in the tangential covariables.
-        """
-        if on_sphere and not self.restricted:
-            raise ValueError("on_sphere compares restricted symbols only")
-        other = self._coerce(other)
-        self._same_phase(other)
-        diff = self - other
-        _, num = diff._common()
-        if on_sphere:
-            num = _poly_map(num, reduce_unit_sphere)
+    def equals(self, other):
+        """Exact equality as rational functions."""
+        _, num = (self - other)._common()
         return not num
-
-    def homogeneity_order(self):
-        """Degree in the covariables; raises if the symbol is not homogeneous.
-
-        Only meaningful before restriction (XI's count 1 each, xi_n counts
-        its power, each denominator factor counts -2, SH counts 0).
-        """
-        if self.restricted:
-            raise ValueError("homogeneity is checked before restriction")
-        order = None
-        for q, p in self.terms.items():
-            for k, ce in enumerate(p):
-                for (w, e), s in ce.terms.items():
-                    for mono in s.terms:
-                        d = k + s.xi_degree_of(mono) - 2 * q
-                        if order is None:
-                            order = d
-                        elif order != d:
-                            raise ValueError(
-                                "inhomogeneous symbol: found degrees %s and %s"
-                                % (order, d))
-        if order is None:
-            raise ValueError("zero symbol has no homogeneity order")
-        return order
-
-    def evaluate(self, xin, assignment):
-        """Numeric value at a real xi_n (complex output) of a scalar symbol."""
-        total = 0j
-        for k, p in self.terms.items():
-            if self.restricted:
-                a, b = k
-                den = (xin - 1j) ** a * (xin + 1j) ** b
-            else:
-                b0 = b0_scalar().evaluate(assignment)
-                den = (b0 + xin ** 2) ** k
-            num = 0j
-            for e, ce in enumerate(p):
-                for (w, ew), s in ce.terms.items():
-                    if w or ew:
-                        raise ValueError("evaluate needs scalar coefficients")
-                    num += s.evaluate(assignment) * xin ** e
-            total += num / den
-        return total
 
     def __repr__(self):
         phase = "restricted" if self.restricted else "unrestricted"
@@ -416,11 +360,6 @@ def _principal_parts(sym, root):
 def pi_plus(sym):
     """Keep the principal part at xi_n = +i (the boundary projection)."""
     return _principal_parts(sym, _I)
-
-
-def pi_minus(sym):
-    """Keep the principal part at xi_n = -i; pi_plus + pi_minus = id."""
-    return _principal_parts(sym, _MINUS_I)
 
 
 def integrate_line(sym):

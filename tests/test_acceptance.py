@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from references import equal_on_sphere, evaluate_symbol, paper_form, pi_minus
 from test_symbols import _quad_complex, random_restricted
 from wresbd import refdata as R
 from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
@@ -41,7 +42,7 @@ from wresbd.ledger import build_ledger, render_json, render_text
 from wresbd.oracle import (OracleAssignment, ext_degree_trace, rep_matrix,
                            word_matrix)
 from wresbd.ring import Scalar
-from wresbd.symbols import NotIntegrable, integrate_line, pi_minus, pi_plus
+from wresbd.symbols import NotIntegrable, integrate_line, pi_plus
 
 CE = CliffordElement
 C_GENS = [("C", j) for j in range(1, 7)]
@@ -132,7 +133,7 @@ class TestProjectionAndResidue:
             except NotIntegrable:
                 continue
             val = exact.evaluate({"PI": math.pi})
-            num = _quad_complex(lambda x: s.evaluate(x, {}))
+            num = _quad_complex(lambda x: evaluate_symbol(s, x, {}))
             assert abs(val - num) <= 1e-8 * max(abs(num), 1.0)
             checked += 1
         assert time.monotonic() - start < 60.0
@@ -182,7 +183,7 @@ class TestCatalogConsistency:
                 .derive("xin").restrict(),
         }[eq_id]()
         fam = "dirac" if eq_id.startswith("(3") else "signature"
-        assert got.equals(R.paper_form(fam, eq_id), on_sphere=True)
+        assert equal_on_sphere(got, paper_form(fam, eq_id))
 
 
 # -- criterion 4: reference-value reproduction -------------------------------

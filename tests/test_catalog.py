@@ -17,8 +17,8 @@ Two kinds of test live here:
 
 import pytest
 
+from references import equal_on_sphere, homogeneity_order, paper_form
 from wresbd import catalog as C
-from wresbd import refdata as R
 from wresbd.catalog import (DIRAC, FAMILIES, SIGNATURE, alpha_dirac, c_endo,
                             cubed_sigma, first_order_sigma, p_signature,
                             _frac, _sandwich)
@@ -79,13 +79,24 @@ def test_blocks_are_the_composition_step_of_their_pieces(fam, order):
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
 @pytest.mark.parametrize("order", [3, 2, -3, -4])
 def test_cube_symbols_are_homogeneous(fam, order):
-    assert cubed_sigma(fam, order).expr.homogeneity_order() == order
+    assert homogeneity_order(cubed_sigma(fam, order).expr) == order
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
 @pytest.mark.parametrize("order", [-1, -2])
 def test_first_order_symbols_are_homogeneous(fam, order):
-    assert first_order_sigma(fam, order).expr.homogeneity_order() == order
+    assert homogeneity_order(first_order_sigma(fam, order).expr) == order
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: first_order_sigma(DIRAC, -3), "orders -1 and -2 only"),
+    (lambda: first_order_sigma(SIGNATURE, 0), "orders -1 and -2 only"),
+    (lambda: cubed_sigma(DIRAC, 1), "orders 3, 2, -3, -4 only"),
+    (lambda: cubed_sigma(SIGNATURE, -5), "orders 3, 2, -3, -4 only"),
+], ids=["first-order-3", "first-order0", "cube1", "cube-5"])
+def test_orders_outside_the_catalog_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
@@ -120,9 +131,9 @@ def test_projected_first_order_derivatives_match_reference(fam):
     ids = _EQ_IDS[fam.name]
     s1 = first_order_sigma(fam, -1).expr
     got = pi_plus(s1.derive("xn").restrict())
-    assert got.equals(R.paper_form(fam.name, ids["dxn_pp"]), on_sphere=True)
+    assert equal_on_sphere(got, paper_form(fam.name, ids["dxn_pp"]))
     got = pi_plus(s1.derive("xin").restrict())
-    assert got.equals(R.paper_form(fam.name, ids["dxi_pp"]), on_sphere=True)
+    assert equal_on_sphere(got, paper_form(fam.name, ids["dxi_pp"]))
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
@@ -135,32 +146,32 @@ def test_inverse_cube_derivatives_match_reference(fam):
         (q3.derive("xin"), ids["dxi3"]),
     ]
     for sym, eq_id in pairs:
-        assert sym.restrict().equals(R.paper_form(fam.name, eq_id),
-                                     on_sphere=True), eq_id
+        assert equal_on_sphere(sym.restrict(),
+                               paper_form(fam.name, eq_id)), eq_id
 
 
 def test_sandwich_derivatives_match_reference():
     got = _sandwich(alpha_dirac(), 3).derive("xin").restrict()
-    assert got.equals(R.paper_form("dirac", "(3.34)"), on_sphere=True)
+    assert equal_on_sphere(got, paper_form("dirac", "(3.34)"))
     got = _sandwich(c_endo("PhiStar"), 3).derive("xin").restrict()
-    assert got.equals(R.paper_form("dirac", "(3.39)"), on_sphere=True)
+    assert equal_on_sphere(got, paper_form("dirac", "(3.39)"))
     got = _sandwich(p_signature(), 3).derive("xin").restrict()
-    assert got.equals(R.paper_form("signature", "(5.44)"), on_sphere=True)
+    assert equal_on_sphere(got, paper_form("signature", "(5.44)"))
 
 
 def test_projected_second_symbol_blocks_match_reference():
     core = first_order_sigma(DIRAC, -2).blocks["core"]
-    a1 = R.paper_form("dirac", "(3.53)")
-    a2 = R.paper_form("dirac", "(3.54)")
-    assert pi_plus(core.restrict()).equals(a1 - a2, on_sphere=True)
+    a1 = paper_form("dirac", "(3.53)")
+    a2 = paper_form("dirac", "(3.54)")
+    assert equal_on_sphere(pi_plus(core.restrict()), a1 - a2)
 
     beta = first_order_sigma(DIRAC, -2).blocks["beta"]
-    assert pi_plus(beta.restrict()).equals(R.paper_form("dirac", "(3.55)"),
-                                           on_sphere=True)
+    assert equal_on_sphere(pi_plus(beta.restrict()),
+                           paper_form("dirac", "(3.55)"))
 
     b4 = first_order_sigma(SIGNATURE, -2).blocks["B4"]
-    assert pi_plus(b4.restrict()).equals(R.paper_form("signature", "(5.22)"),
-                                         on_sphere=True)
+    assert equal_on_sphere(pi_plus(b4.restrict()),
+                           paper_form("signature", "(5.22)"))
 
 
 # -- reference comparison: documented misprints ------------------------------
@@ -176,9 +187,9 @@ def test_projected_leading_symbol_sign_misprint(fam):
     """
     eq_id = "(3.29)" if fam.name == "dirac" else "(5.39)"
     got = pi_plus(first_order_sigma(fam, -1).expr.restrict())
-    ref = R.paper_form(fam.name, eq_id)
-    assert not got.equals(ref, on_sphere=True)
-    assert got.equals(-ref, on_sphere=True)
+    ref = paper_form(fam.name, eq_id)
+    assert not equal_on_sphere(got, ref)
+    assert equal_on_sphere(got, -ref)
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
@@ -189,19 +200,18 @@ def test_untwisted_inverse_cube_subleading_misprints(fam):
     s4_id, ds4_id = (("(3.30)", "(3.31)") if fam.name == "dirac"
                      else ("(5.40)", "(5.41)"))
     s4 = cubed_sigma(fam, -4).blocks["D1"]
-    assert not s4.restrict().equals(R.paper_form(fam.name, s4_id),
-                                    on_sphere=True)
-    assert not s4.derive("xin").restrict().equals(
-        R.paper_form(fam.name, ds4_id), on_sphere=True)
+    assert not equal_on_sphere(s4.restrict(), paper_form(fam.name, s4_id))
+    assert not equal_on_sphere(s4.derive("xin").restrict(),
+                               paper_form(fam.name, ds4_id))
 
 
 def test_twisting_potential_derivative_misprint():
     """The reference prints d_xin(c(Phi)/|xi|^4) with numerator -2 xi_n
     c(Phi); the chain rule gives -4 xi_n c(Phi)."""
     got = _frac([c_endo("Phi")], 2).derive("xin").restrict()
-    ref = R.paper_form("dirac", "(3.44)")
-    assert not got.equals(ref, on_sphere=True)
-    assert got.equals(ref * 2, on_sphere=True)
+    ref = paper_form("dirac", "(3.44)")
+    assert not equal_on_sphere(got, ref)
+    assert equal_on_sphere(got, ref * 2)
 
 
 def test_signature_p_sandwich_block_misprint():
@@ -211,12 +221,13 @@ def test_signature_p_sandwich_block_misprint():
     with the engine once the duplicate is accounted for via block B123."""
     e2 = first_order_sigma(SIGNATURE, -2)
     b123 = pi_plus(e2.blocks["B123"].restrict())
-    ref_sum = (R.paper_form("signature", "(5.19)")
-               + R.paper_form("signature", "(5.20)")
-               + R.paper_form("signature", "(5.21)"))
-    assert not b123.equals(ref_sum, on_sphere=True)
+    ref_sum = (paper_form("signature", "(5.19)")
+               + paper_form("signature", "(5.20)")
+               + paper_form("signature", "(5.21)"))
+    assert not equal_on_sphere(b123, ref_sum)
     # the discrepancy is exactly the duplicated normal-derivative terms:
     # printed third block minus the engine's pure p-sandwich projection
-    duplicate = (R.paper_form("signature", "(5.21)")
+    duplicate = (paper_form("signature", "(5.21)")
                  - pi_plus(_sandwich(p_signature(), 2).restrict()))
-    assert (ref_sum - b123).equals(duplicate, on_sphere=True)
+    assert equal_on_sphere(ref_sum - b123, duplicate)
+

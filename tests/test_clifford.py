@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from references import reduce_unit_sphere
 from wresbd.clifford import (
     EXT_DIM,
     SPIN_DIM,
@@ -17,7 +18,7 @@ from wresbd.clifford import (
     trace_spin,
 )
 from wresbd.oracle import ext_degree_trace, rep_matrix, word_matrix
-from wresbd.ring import Scalar, reduce_unit_sphere
+from wresbd.ring import Scalar
 
 CE = CliffordElement
 
@@ -141,6 +142,15 @@ class TestTraces:
     def test_trace_spin_rejects_ch(self):
         with pytest.raises(ValueError):
             trace_spin(CE.ch(1))
+
+
+@pytest.mark.parametrize("make", [lambda: CE.c(7), lambda: CE.c(0),
+                                  lambda: CE.word([("X", 1)]),
+                                  lambda: normal_form([("C", 1), "C"])],
+                         ids=["c7", "c0", "kind", "not-a-pair"])
+def test_bad_generators_rejected(make):
+    with pytest.raises(ValueError, match="bad Clifford generator"):
+        make()
 
 
 class TestEndomorphisms:

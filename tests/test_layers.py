@@ -4,8 +4,9 @@ Parses each module and follows its imports inside the package, so a
 numeric dependency pulled in through another module also counts; and
 runs the engine in a fresh interpreter to check that importing the
 package loads neither numpy nor scipy, and that the oracle loads numpy
-only.  Also checks that every name the benchmark's tracer hooks still
-exists.
+only.  Also checks that the command line reaches every module, so code
+that only the tests use lives under tests/, and that every name the
+benchmark's tracer hooks still exists.
 """
 
 import ast
@@ -41,7 +42,8 @@ def _imports(module):
     return external, internal
 
 
-def _reachable_externals(module):
+def _reachable(module):
+    """(package modules, top-level external names) reached from a module."""
     seen, todo, external = set(), [module], set()
     while todo:
         m = todo.pop()
@@ -51,21 +53,27 @@ def _reachable_externals(module):
         ext, internal = _imports(m)
         external |= ext
         todo.extend(internal)
-    return external
+    return seen, external
 
 
 @pytest.mark.parametrize("module", ENGINE)
 def test_engine_module_is_numpy_free(module):
-    assert not _reachable_externals(module) & NUMERIC
+    assert not _reachable(module)[1] & NUMERIC
 
 
 def test_oracle_is_where_numpy_lives():
     # guards the check itself: the parser does see the oracle's imports
-    assert "numpy" in _reachable_externals("oracle")
+    assert "numpy" in _reachable("oracle")[1]
     modules = sorted(p.stem for p in PKG.glob("*.py"))
     assert "oracle" in modules
     for module in modules:
-        assert "scipy" not in _reachable_externals(module), module
+        assert "scipy" not in _reachable(module)[1], module
+
+
+def test_cli_reaches_every_module():
+    # a module that only the tests import belongs under tests/
+    modules = {p.stem for p in PKG.glob("*.py")} - {"__init__"}
+    assert modules - _reachable("cli")[0] == set()
 
 
 def test_package_and_engine_leave_numpy_and_scipy_unloaded():

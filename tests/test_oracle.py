@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from references import sphere_moment_numeric
 from wresbd import ring
 from wresbd.boundary import (CASES, assemble, case_factor_pairs,
                              evaluate_case)
 from wresbd.catalog import FAMILIES
 from wresbd.oracle import (OracleAssignment, _moments, _numeric_coeff,
                            _pair_integrand_polys, _pair_trace,
-                           _sphere_product, oracle_case, quad,
-                           sphere_moment_numeric, word_matrix)
+                           _sphere_product, oracle_case, quad, rep_matrix,
+                           word_matrix)
 from wresbd.ring import GRat, Scalar, sphere_integrate, sphere_moment
 
 OMEGA4 = 8.0 * math.pi ** 2 / 3.0
@@ -62,6 +63,14 @@ def test_moment_table_range_is_checked(exps):
     # a negative index must not wrap round to the end of the table
     with pytest.raises(ValueError):
         _moments(np.array(exps))
+
+
+@pytest.mark.parametrize("gen, rep, match", [
+    (("C", 1), "foo", "unknown representation"),
+    (("C", 7), "ext", "bad Clifford generator")])
+def test_rep_matrix_rejects_bad_input(gen, rep, match):
+    with pytest.raises(ValueError, match=match):
+        rep_matrix(gen, rep)
 
 
 @pytest.mark.parametrize("rep, kinds", [("spin", ("C",)),

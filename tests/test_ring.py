@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import reduce_unit_sphere
 from wresbd.clifford import CliffordElement as CE
 from wresbd.ring import (
     GRat,
@@ -19,7 +20,6 @@ from wresbd.ring import (
     XI_SYMBOLS,
     _mono_mul,
     _normalize_mono,
-    reduce_unit_sphere,
     sphere_integrate,
     sphere_moment,
 )
@@ -140,6 +140,11 @@ class TestGRatAgainstFractionPairs:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="exponent"):
             GRat(2, 1) ** -1
+
+    @pytest.mark.parametrize("args", [(1.5,), (1, 0.5), ("1",)])
+    def test_non_rational_parts_rejected(self, args):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            GRat(*args)
 
     @given(x=PAIRS, y=PAIRS, k=st.integers(1, 30))
     def test_equality_and_hash(self, x, y, k):

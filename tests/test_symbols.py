@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from references import (equal_on_sphere, evaluate_symbol, homogeneity_order,
+                        pi_minus)
 from wresbd.clifford import CliffordElement as CE
 from wresbd.ring import GRat, Scalar
-from wresbd.symbols import (
-    NotIntegrable,
-    RationalSymbol,
-    integrate_line,
-    pi_minus,
-    pi_plus,
-)
+from wresbd.symbols import NotIntegrable, RationalSymbol, integrate_line, pi_plus
 
 
 def _random_scalar(rng, with_xi=False):
@@ -87,8 +83,10 @@ def _assert_xin_central_difference(derived, sym):
     env = {"H1": 0.7, "XI1": 0.3, "XI2": 0.1, "XI3": -0.4, "XI4": 0.2,
            "XI5": 0.5}
     xin0, h = 0.9, 1e-5
-    want = (sym.evaluate(xin0 + h, env) - sym.evaluate(xin0 - h, env)) / (2 * h)
-    assert derived.evaluate(xin0, env) == pytest.approx(want, rel=1e-6, abs=1e-8)
+    want = (evaluate_symbol(sym, xin0 + h, env)
+            - evaluate_symbol(sym, xin0 - h, env)) / (2 * h)
+    assert evaluate_symbol(derived, xin0, env) == pytest.approx(
+        want, rel=1e-6, abs=1e-8)
 
 
 class TestPartialFractions:
@@ -212,15 +210,15 @@ class TestDerivatives:
             if var == "xn":
                 env["SH"] = math.sqrt(1 + env["H1"] * t)
             elif var == "xin":
-                return s.evaluate(xin0 + t, env)
+                return evaluate_symbol(s, xin0 + t, env)
             else:
                 env["XI" + var[2]] += t
-            return s.evaluate(xin0, env)
+            return evaluate_symbol(s, xin0, env)
 
         for _ in range(20):
             s = random_unrestricted_scalar(rng)
             want = (moved(s, h) - moved(s, -h)) / (2 * h)
-            got = s.derive(var).evaluate(xin0, env0)
+            got = evaluate_symbol(s.derive(var), xin0, env0)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
 
@@ -229,12 +227,12 @@ class TestHomogeneity:
         cp = sum((CE.c(j, Scalar.sym("SH") * Scalar.sym("XI%d" % j))
                   for j in range(1, 6)), CE.zero())
         s = RationalSymbol(False, {1: [cp, CE.c(6)]})
-        assert s.homogeneity_order() == -1
+        assert homogeneity_order(s) == -1
 
     def test_inhomogeneous_rejected(self):
         s = RationalSymbol(False, {0: [CE.one(), CE.c(6)]})
         with pytest.raises(ValueError):
-            s.homogeneity_order()
+            homogeneity_order(s)
 
 
 def _quad_complex(f):
@@ -283,7 +281,7 @@ class TestIntegrateLine:
                 got = integrate_line(s)
             except NotIntegrable:
                 rejected += 1
-                assert abs(1e6 * s.evaluate(1e6, {})) > 0.5
+                assert abs(1e6 * evaluate_symbol(s, 1e6, {})) > 0.5
                 continue
             simple = pi_plus(s).terms.get((1, 0), [CE.zero()])[0]
             want = simple.terms.get(((), ()), Scalar.zero())
@@ -311,7 +309,7 @@ class TestIntegrateLine:
             except NotIntegrable:
                 continue
             val = exact.evaluate({"PI": math.pi})
-            num = _quad_complex(lambda x: s.evaluate(x, {}))
+            num = _quad_complex(lambda x: evaluate_symbol(s, x, {}))
             scale = max(abs(num), 1.0)
             assert abs(val - num) / scale < 1e-8
             checked += 1
@@ -327,17 +325,35 @@ class TestRestriction:
 
     def test_sphere_comparison_needs_restricted_symbols(self):
         # the XIs are free before restriction: sum XIj^2 / |xi|^2 is not
-        # 1 / |xi|^2, and on_sphere must not reduce them as if they were
+        # 1 / |xi|^2, and equal_on_sphere must not reduce them as if they were
         xi2 = sum((Scalar.sym("XI%d" % j, 2) for j in range(1, 6)),
                   Scalar.zero())
         lhs = RationalSymbol(False, {1: [CE.scalar(xi2)]})
         rhs = RationalSymbol(False, {1: [CE.one()]})
         assert not lhs.equals(rhs)
         with pytest.raises(ValueError, match="restricted"):
-            lhs.equals(rhs, on_sphere=True)
-        assert lhs.restrict().equals(rhs.restrict(), on_sphere=True)
+            equal_on_sphere(lhs, rhs)
+        assert equal_on_sphere(lhs.restrict(), rhs.restrict())
 
     def test_mixing_phases_rejected(self):
         rng = random.Random(1)
         with pytest.raises(ValueError):
             random_unrestricted(rng) * random_restricted(rng)
+
+
+_UNRESTRICTED = RationalSymbol(False, {1: [CE.one()]})
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: RationalSymbol(True, {(1,): [CE.one()]}), "restricted key"),
+    (lambda: RationalSymbol(True, {(1, -1): [CE.one()]}), "restricted key"),
+    (lambda: RationalSymbol(False, {-1: [CE.one()]}), "unrestricted key"),
+    (lambda: RationalSymbol(False, {(1, 1): [CE.one()]}), "unrestricted key"),
+    (lambda: _UNRESTRICTED.derive("xq"), "unknown derivative"),
+    (lambda: pi_plus(_UNRESTRICTED), "restricted phase"),
+    (lambda: integrate_line(_UNRESTRICTED), "after restriction"),
+], ids=["short-key", "negative-pole", "negative-power", "pair-key",
+        "variable", "pi-plus", "integrate-line"])
+def test_bad_input_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
