@@ -7,8 +7,8 @@ Layers, bottom to top (numpy is used by the oracle only):
   one symbolic trace rule for the spin and exterior modules;
 * :mod:`wresbd.symbols` -- rational symbols in the normal covariable,
   the boundary projection pi+, residue line integral;
-* :mod:`wresbd.catalog` -- operator-family symbol catalogs and the
-  composition recursion that rederives them;
+* :mod:`wresbd.catalog` -- operator-family symbol catalogs, the inverse
+  symbols from one parametrix step;
 * :mod:`wresbd.boundary` -- case enumeration, exact case evaluation,
   assembly, mean-curvature substitution;
 * :mod:`wresbd.oracle` -- independent seeded numeric cross-check, and
@@ -24,8 +24,7 @@ import importlib
 from .boundary import (CASES, BoundaryCase, CaseResult, assemble,
                        evaluate_case, substitute_K)
 from .catalog import (DIRAC, FAMILIES, SIGNATURE, CatalogEntry,
-                      OperatorFamily, cubed_sigma, first_order_sigma,
-                      invert_cubed)
+                      OperatorFamily, cubed_sigma, first_order_sigma)
 from .clifford import CliffordElement, normal_form, trace_ext, trace_spin
 from .ring import GRat, Scalar, sphere_integrate, sphere_moment
 from .symbols import NotIntegrable, RationalSymbol, integrate_line, pi_plus
@@ -65,7 +64,6 @@ __all__ = [
     "ext_degree_trace",
     "first_order_sigma",
     "integrate_line",
-    "invert_cubed",
     "normal_form",
     "oracle_case",
     "pi_plus",

@@ -13,18 +13,18 @@ where sigma_r are the symbols of the inverse first-order operator and
 sigma_l those of its inverse cube.  With the available symbol orders
 (r in {-1,-2}, l in {-3,-4}) the constraint admits exactly five cases:
 
-    aI   r=-1, l=-3, |alpha|=1        (vanishes at the boundary point)
+    aI   r=-1, l=-3, |alpha|=1        (d_x' = 0 at x_0: no factor pairs)
     aII  r=-1, l=-3, j=1
     aIII r=-1, l=-3, k=1
     b    r=-1, l=-4
     c    r=-2, l=-3
 
-Each case is evaluated through one pipeline: every derivative on the
-unrestricted symbol (d_xin^k commutes with pi^+), restriction to the
-boundary fibre, half-line projection on the first factor, fibre trace of
-the equal-word pairs of the two factors (the only products with a trace),
-exact xi_n line integral, exact sphere integral, prefactor.  All
-arithmetic is exact (Gaussian rationals).
+Each other case is evaluated through one pipeline: every derivative, in
+x_n or xi_n, on the unrestricted symbol (d_xin^k commutes with pi^+),
+restriction to the boundary fibre, half-line projection on the first
+factor, fibre trace of the equal-word pairs of the two factors (the only
+products with a trace), exact xi_n line integral, exact sphere integral,
+prefactor.  All arithmetic is exact (Gaussian rationals).
 """
 
 import math
@@ -116,27 +116,13 @@ def _trace_symbol(family, first, second):
         for key, acc in out.items()})
 
 
-def _second_factor_sym(sym, case):
-    """d_x'^alpha d_xin^(j+1) d_xn^k applied to one inverse-cube symbol."""
-    for _ in range(case.k):
+def _derived(sym, xn, xin):
+    """d_xin^xin d_xn^xn sym, restricted: x_n first, then xi_n."""
+    for _ in range(xn):
         sym = sym.derive("xn")
-    for _ in range(case.j + 1):
+    for _ in range(xin):
         sym = sym.derive("xin")
-    if case.nalpha:
-        sym = sym.derive("xprime")
     return sym.restrict()
-
-
-def _first_factor_sym(sym, case, tangent=None):
-    """d_xin^k pi^+ d_xn^j d_xi'^alpha sigma_r for one symbol; d_xin is
-    taken first, as it commutes with the restriction and pi^+."""
-    for _ in range(case.j):
-        sym = sym.derive("xn")
-    if case.nalpha:
-        sym = sym.derive("xi%d" % tangent)
-    for _ in range(case.k):
-        sym = sym.derive("xin")
-    return pi_plus(sym.restrict())
 
 
 def case_factor_pairs(family, case):
@@ -162,10 +148,10 @@ def case_factor_pairs(family, case):
     else:
         split = [("total", first_entry.expr, second_entry.expr)]
 
-    tangents = range(1, 6) if case.nalpha else (None,)
-    return {name: [(_first_factor_sym(fexpr, case, t),
-                    _second_factor_sym(sexpr, case))
-                   for t in tangents]
+    # d_x' sigma_l = 0 at x_0 in normal coordinates: aI is zero, (3.12), (5.5)
+    return {name: [] if case.nalpha else
+            [(pi_plus(_derived(fexpr, case.j, case.k)),
+              _derived(sexpr, case.k, case.j + 1))]
             for name, fexpr, sexpr in split}
 
 

@@ -16,11 +16,7 @@ coordinates (straight metric with collar factor h(x_n), h(0)=1, h'(0)=H1):
   first-order operator;
 * cubed_sigma(family, 3 / 2 / -3 / -4): leading symbols of the cube and
   of its inverse (the -4 entry carries named sub-blocks matching the way
-  the boundary cases are reported);
-* invert_cubed(family): recomputes the inverse-cube symbols from the
-  composition recursion q_{-3} = p_3^{-1},
-  q_{-4} = -p_3^{-1} [p_2 p_3^{-1} + sum_j d_{xi_j} p_3 D_{x_j} p_3^{-1}],
-  which cross-checks the catalog forms through entirely generic machinery.
+  the boundary cases are reported).
 
 sigma_0 and the cube's sigma_2 are stated once, in _pieces, by the block of
 the inverse each piece feeds.  One parametrix step, _parametrix, builds
@@ -31,7 +27,7 @@ form, and the untwisted block adds the remainder -inv (d_xin top)(D_xn inv).
 from fractions import Fraction
 
 from .clifford import CliffordElement, trace_ext, trace_spin
-from .ring import GRat, Scalar
+from .ring import Scalar
 from .symbols import RationalSymbol, _poly_add, _poly_mul, _poly_scale, b_poly
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "FAMILIES",
     "first_order_sigma",
     "cubed_sigma",
-    "invert_cubed",
 ]
 
 CE = CliffordElement
@@ -257,22 +252,3 @@ def cubed_sigma(family, order):
     if order == -4:
         return _parametrix(family, 2, cubed_sigma(family, 3).expr)
     raise ValueError("cube catalog has orders 3, 2, -3, -4 only")
-
-
-def invert_cubed(family):
-    """Inverse-cube symbols from the composition recursion.
-
-    Returns (q_{-3}, q_{-4}) built only from p_3, p_2 and the generic
-    derivative machinery; validates p_3 q_{-3} = 1 on the way.
-    """
-    p3 = cubed_sigma(family, 3).expr
-    p2 = cubed_sigma(family, 2).expr
-    q3 = _i_c_xi(2)
-    if not (p3 * q3).equals(RationalSymbol.constant(CE.one())):
-        raise AssertionError("q_{-3} is not inverse to p_3")
-    minus_i = Scalar.from_grat(GRat(0, -1))
-    inner = p2 * q3 + p3.derive("xin") * (q3.derive("xn") * minus_i)
-    for j in range(1, 6):
-        inner = inner + p3.derive("xi%d" % j) * (q3.derive("xprime") * minus_i)
-    q4 = -(q3 * inner)
-    return q3, q4

@@ -141,8 +141,12 @@ class CliffordElement:
         else:
             out[key] = v
 
+    # an operand the algebra cannot coerce goes to its own reflected method
     def __add__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             self._add_term(out, k, c)
@@ -158,7 +162,7 @@ class CliffordElement:
         return r
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -167,7 +171,8 @@ class CliffordElement:
         if isinstance(other, (int, Fraction, GRat, Scalar)):
             c0 = Scalar._coerce(other)
             return self.map_scalars(lambda c: c * c0)
-        other = self._coerce(other)
+        if not isinstance(other, CliffordElement):
+            return NotImplemented
         out = {}
         for (w1, e1), c1 in self.terms.items():
             for (w2, e2), c2 in other.terms.items():

@@ -21,7 +21,6 @@ from .ring import Scalar
 
 __all__ = [
     "PUBLISHED",
-    "paper_value",
     "INTERIOR_TERMS",
 ]
 
@@ -106,11 +105,6 @@ PUBLISHED = {
             + _val(4, _T("wStar")) + _val(-12, _T("w"))),
     },
 }
-
-
-def paper_value(family_name, eq_id):
-    """Published value of one tabulated entry, by its equation id."""
-    return dict(PUBLISHED[family_name].values())[eq_id]
 
 
 # -- interior-term annotations (reported verbatim, never computed) -----------

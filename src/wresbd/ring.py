@@ -79,8 +79,12 @@ class GRat:
     re = property(lambda self: Fraction(self.a, self.d))
     im = property(lambda self: Fraction(self.b, self.d))
 
+    # an operand the ring cannot coerce goes to its own reflected method
     def __add__(self, other):
-        other = _coerce(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _grat(self.a + other.a, self.b + other.b, d)
@@ -89,13 +93,16 @@ class GRat:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -_coerce(other)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         a, b, c, e = self.a, self.b, other.a, other.b
         return _grat(a * c - b * e, a * e + b * c, self.d * other.d)
 
@@ -255,8 +262,12 @@ class Scalar:
 
     # -- ring operations ----------------------------------------------
 
+    # an operand the ring cannot coerce goes to its own reflected method
     def __add__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
             v = out.get(m)
@@ -277,13 +288,16 @@ class Scalar:
         return s
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -339,18 +353,6 @@ class Scalar:
             if k:
                 out = out + Scalar({_mono_mul(m, (("H1", 1),)):
                                     c * Fraction(k, 2)})
-        return out
-
-    def d_xi(self, j):
-        """Partial derivative in the tangential covariable XIj (j in 1..5)."""
-        name = "XI%d" % j
-        out = Scalar.zero()
-        for m, c in self.terms.items():
-            e = dict(m).get(name, 0)
-            if e:
-                m2 = _normalize_mono([(s, x) if s != name else (s, x - 1)
-                                      for s, x in m])
-                out = out + Scalar({m2: c * e})
         return out
 
     def substitute(self, mapping):

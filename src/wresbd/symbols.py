@@ -23,8 +23,9 @@ denominator degree in every term, as for every symbol of negative order).
 integrate_line evaluates the xi_n integral over the whole real line
 exactly as 2*pi*i times the residue at +i.
 
-Each rule is stated once.  One quotient rule serves every derivative
-(x_n, xi_n and the tangential covariables); a restricted symbol has none.
+Each rule is stated once.  One quotient rule serves both derivatives, in
+x_n and in xi_n (no symbol is derived tangentially); a restricted symbol
+has neither.
 One expansion at a pole, the Gaussian-rational weights of _pole_weights
 for each numerator power, serves pi_plus and integrate_line: the
 projection scales every numerator coefficient by all of its weights, the
@@ -46,8 +47,6 @@ __all__ = [
 ]
 
 CE = CliffordElement
-
-_XI_VARS = ("xi1", "xi2", "xi3", "xi4", "xi5")
 
 
 class NotIntegrable(ValueError):
@@ -71,10 +70,6 @@ def _poly_add(p, q):
         b = q[k] if k < len(q) else CE.zero()
         out.append(a + b)
     return _trim(out)
-
-
-def _poly_neg(p):
-    return [-c for c in p]
 
 
 def _poly_mul(p, q):
@@ -101,11 +96,6 @@ def _poly_deriv(p):
 
 def _poly_map(p, f):
     return _trim([c.map_scalars(f) for c in p])
-
-
-def _binomial_pole_poly(root, n):
-    """(xi - root)^n as a CliffordElement poly, root = +/- i."""
-    return [CE.scalar(comb(n, k) * (-root) ** (n - k)) for k in range(n + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +130,6 @@ def _principal_part(p, root, n, m):
 
 
 _I = GRat(0, 1)
-_MINUS_I = GRat(0, -1)
 
 
 def b0_scalar():
@@ -208,8 +197,7 @@ class RationalSymbol:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalSymbol(self.restricted,
-                              {k: _poly_neg(p) for k, p in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -253,22 +241,14 @@ class RationalSymbol:
     # -- calculus ----------------------------------------------------------
 
     def derive(self, var):
-        """Derivative: var in 'xn', 'xin', 'xi1'..'xi5', 'xprime'.
-
-        Tangential base derivatives vanish at the distinguished boundary
-        point (normal coordinates); every other derivative requires the
-        unrestricted phase, where |xi|^2 still carries SH and the XIj.
-        """
-        if var == "xprime":
-            return RationalSymbol.zero(self.restricted)
-        if var not in ("xin", "xn") + _XI_VARS:
+        """Derivative in 'xn' or 'xin'; both need the unrestricted phase."""
+        if var not in ("xin", "xn"):
             raise ValueError("unknown derivative variable %r" % (var,))
         if self.restricted:
             raise ValueError("%s derivative after restriction is lost" % var)
         if var == "xin":
             return self._quotient_rule(_poly_deriv)
-        f = Scalar.d_xn if var == "xn" else lambda s: s.d_xi(int(var[2]))
-        return self._quotient_rule(lambda p: _poly_map(p, f))
+        return self._quotient_rule(lambda p: _poly_map(p, Scalar.d_xn))
 
     def _quotient_rule(self, d):
         """d(p/B^q) = d(p)/B^q - q d(B) p/B^(q+1), with B = |xi|^2.
@@ -301,34 +281,6 @@ class RationalSymbol:
                 key = (q, q)
                 out[key] = _poly_add(out.get(key, []), rp)
         return RationalSymbol(True, out)
-
-    # -- normalization and comparison ---------------------------------------
-
-    def _common(self):
-        """Single-denominator form: returns (key, numerator poly)."""
-        if self.restricted:
-            amax = max((k[0] for k in self.terms), default=0)
-            bmax = max((k[1] for k in self.terms), default=0)
-            num = []
-            for (a, b), p in self.terms.items():
-                lift = _poly_mul(_binomial_pole_poly(_I, amax - a),
-                                 _binomial_pole_poly(_MINUS_I, bmax - b))
-                num = _poly_add(num, _poly_mul(lift, p))
-            return (amax, bmax), num
-        qmax = max(self.terms, default=0)
-        bpoly = b_poly()
-        num = []
-        for q, p in self.terms.items():
-            lift = [CE.one()]
-            for _ in range(qmax - q):
-                lift = _poly_mul(lift, bpoly)
-            num = _poly_add(num, _poly_mul(lift, p))
-        return qmax, num
-
-    def equals(self, other):
-        """Exact equality as rational functions."""
-        _, num = (self - other)._common()
-        return not num
 
     def __repr__(self):
         phase = "restricted" if self.restricted else "unrestricted"

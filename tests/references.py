@@ -13,25 +13,67 @@
   and the principal part at xi_n = -i, the complement of ``pi_plus``.
 * ``sphere_moment_numeric`` -- one Gamma-function sphere moment, from the
   oracle's moment table.
+* ``equals`` -- exact equality of two symbols as rational functions.
+* ``invert_cubed`` -- the inverse-cube symbols from the generic composition
+  recursion, which cross-checks the catalog's parametrix step.
+* ``paper_value`` -- one published case value, by its equation id.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
+from wresbd.catalog import _i_c_xi, cubed_sigma
 from wresbd.clifford import CliffordElement
 from wresbd.oracle import _moments
+from wresbd.refdata import PUBLISHED
 from wresbd.ring import XI_SYMBOLS, GRat, Scalar, _normalize_mono
-from wresbd.symbols import (_MINUS_I, RationalSymbol, _poly_map,
-                            _principal_parts, b0_scalar)
+from wresbd.symbols import (RationalSymbol, _poly_add, _poly_map, _poly_mul,
+                            _principal_parts, b0_scalar, b_poly)
 
 CE = CliffordElement
 
 _H1 = Scalar.sym("H1")
 _I = Scalar.i()
+_PLUS_I = GRat(0, 1)
+_MINUS_I = GRat(0, -1)
 
 
 # -- calculus references -----------------------------------------------------
+
+
+def _binomial_pole_poly(root, n):
+    """(xi - root)^n as a CliffordElement poly, root = +/- i."""
+    return [CE.scalar(comb(n, k) * (-root) ** (n - k)) for k in range(n + 1)]
+
+
+def _common(sym):
+    """Single-denominator form: returns (key, numerator poly)."""
+    if sym.restricted:
+        amax = max((k[0] for k in sym.terms), default=0)
+        bmax = max((k[1] for k in sym.terms), default=0)
+        num = []
+        for (a, b), p in sym.terms.items():
+            lift = _poly_mul(_binomial_pole_poly(_PLUS_I, amax - a),
+                             _binomial_pole_poly(_MINUS_I, bmax - b))
+            num = _poly_add(num, _poly_mul(lift, p))
+        return (amax, bmax), num
+    qmax = max(sym.terms, default=0)
+    bpoly = b_poly()
+    num = []
+    for q, p in sym.terms.items():
+        lift = [CE.one()]
+        for _ in range(qmax - q):
+            lift = _poly_mul(lift, bpoly)
+        num = _poly_add(num, _poly_mul(lift, p))
+    return qmax, num
+
+
+def equals(a, b):
+    """Exact equality of two symbols as rational functions."""
+    _, num = _common(a - b)
+    return not num
 
 
 def reduce_unit_sphere(s):
@@ -65,7 +107,7 @@ def equal_on_sphere(a, b):
     the unit-sphere relation in the tangential covariables."""
     if not a.restricted:
         raise ValueError("on_sphere compares restricted symbols only")
-    _, num = (a - b)._common()
+    _, num = _common(a - b)
     return not _poly_map(num, reduce_unit_sphere)
 
 
@@ -131,6 +173,26 @@ def sphere_moment_numeric(exps):
     2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).
     """
     return float(_moments(np.array(exps, dtype=np.intp)))
+
+
+def invert_cubed(family):
+    """Inverse-cube symbols from the composition recursion.
+
+    Returns (q_{-3}, q_{-4}) built only from p_3, p_2 and the generic
+    derivative machinery, q_{-3} = p_3^{-1} and
+    q_{-4} = -p_3^{-1} [p_2 p_3^{-1} + d_{xi_n} p_3 D_{x_n} p_3^{-1}]
+    (the tangential summands vanish at x_0); validates p_3 q_{-3} = 1 on
+    the way.
+    """
+    p3 = cubed_sigma(family, 3).expr
+    p2 = cubed_sigma(family, 2).expr
+    q3 = _i_c_xi(2)
+    if not equals(p3 * q3, RationalSymbol.constant(CE.one())):
+        raise AssertionError("q_{-3} is not inverse to p_3")
+    minus_i = Scalar.from_grat(GRat(0, -1))
+    inner = p2 * q3 + p3.derive("xin") * (q3.derive("xn") * minus_i)
+    q4 = -(q3 * inner)
+    return q3, q4
 
 
 # -- small constructors ------------------------------------------------------
@@ -393,3 +455,8 @@ def paper_form(family_name, eq_id):
             return _pi_plus_mid_block(_vartheta(starred=False))
     raise KeyError("no published form %s for family %s"
                    % (eq_id, family_name))
+
+
+def paper_value(family_name, eq_id):
+    """Published value of one tabulated entry, by its equation id."""
+    return dict(PUBLISHED[family_name].values())[eq_id]

@@ -4,10 +4,11 @@ Two kinds of test live here:
 
 * internal consistency -- each block of sigma_{-2} and sigma_{-4} must
   equal the composition step applied to the piece of sigma_0 or sigma_2
-  it is named for, formed with generic symbol products, and every catalog
-  entry must be homogeneous of its stated order (that the inverse-cube
-  symbols recomputed through the generic composition recursion equal the
-  catalog forms is checked in the acceptance suite);
+  it is named for, formed with generic symbol products; sigma_{-2} must
+  invert sigma_1 + sigma_0 on both sides by the composition formula; and
+  every catalog entry must be homogeneous of its stated order (that the
+  inverse-cube symbols recomputed through the generic composition
+  recursion equal the catalog forms is checked in the acceptance suite);
 * reference comparison -- engine symbols are compared against the
   published intermediate forms.  Where the published form contains a
   misprint the test asserts the *documented disagreement* (the engine side
@@ -17,11 +18,12 @@ Two kinds of test live here:
 
 import pytest
 
-from references import equal_on_sphere, homogeneity_order, paper_form
+from references import equal_on_sphere, equals, homogeneity_order, paper_form
 from wresbd import catalog as C
 from wresbd.catalog import (DIRAC, FAMILIES, SIGNATURE, alpha_dirac, c_endo,
                             cubed_sigma, first_order_sigma, p_signature,
                             _frac, _sandwich)
+from wresbd.ring import Scalar
 from wresbd.symbols import RationalSymbol, b_poly, pi_plus
 
 FAMS = [DIRAC, SIGNATURE]
@@ -66,14 +68,34 @@ def test_blocks_are_the_composition_step_of_their_pieces(fam, order):
         entry = cubed_sigma(fam, -4)
         top, inv = cubed_sigma(fam, 3).expr, cubed_sigma(fam, -3).expr
         total = sum(_stated_pieces(fam, 2).values(), RationalSymbol.zero())
-        assert total.equals(cubed_sigma(fam, 2).expr)
+        assert equals(total, cubed_sigma(fam, 2).expr)
     pieces = _stated_pieces(fam, order)
     assert list(entry.blocks) == list(pieces)
     for k, (name, piece) in enumerate(pieces.items()):
         want = -(inv * piece * inv)
         if k == 0:
             want = want + C._remainder(top, inv)
-        assert entry.blocks[name].equals(want), name
+        assert equals(entry.blocks[name], want), name
+
+
+def _order_minus_one(a1, a0, b1, b0):
+    """Order -1 part of (a1 + a0) o (b1 + b0), a1 and b1 of orders +-1, by
+    P o Q = PQ - i d_xin P d_xn Q at x_0 (d_x' = 0 there)."""
+    return (a1 * b0 + a0 * b1
+            - a1.derive("xin") * b1.derive("xn") * Scalar.i())
+
+
+@pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
+def test_sigma_m2_is_a_left_and_right_parametrix(fam):
+    """sigma_{-1} + sigma_{-2} inverts sigma_1 + sigma_0 on both sides up
+    to order -2, by the composition formula alone (no _remainder)."""
+    s1, sm1 = C._i_c_xi(0), first_order_sigma(fam, -1).expr
+    s0 = sum(_stated_pieces(fam, 0).values(), RationalSymbol.zero())
+    sm2 = first_order_sigma(fam, -2).expr
+    one, zero = RationalSymbol.constant(C.CE.one()), RationalSymbol.zero()
+    assert equals(s1 * sm1, one) and equals(sm1 * s1, one)
+    assert equals(_order_minus_one(s1, s0, sm1, sm2), zero)
+    assert equals(_order_minus_one(sm1, sm2, s1, s0), zero)
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
@@ -105,15 +127,15 @@ def test_blocks_sum_to_expr(fam):
         total = RationalSymbol.zero(False)
         for b in entry.blocks.values():
             total = total + b
-        assert total.equals(entry.expr)
+        assert equals(total, entry.expr)
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
 def test_leading_symbols_compose_to_identity(fam):
     p3 = cubed_sigma(fam, 3).expr
     q3 = cubed_sigma(fam, -3).expr
-    assert (p3 * q3).equals(RationalSymbol.constant(C.CE.one()))
-    assert (q3 * p3).equals(RationalSymbol.constant(C.CE.one()))
+    assert equals(p3 * q3, RationalSymbol.constant(C.CE.one()))
+    assert equals(q3 * p3, RationalSymbol.constant(C.CE.one()))
 
 
 # -- reference comparison: forms that agree ----------------------------------

@@ -4,13 +4,15 @@ Parses each module and follows its imports inside the package, so a
 numeric dependency pulled in through another module also counts; and
 runs the engine in a fresh interpreter to check that importing the
 package loads neither numpy nor scipy, and that the oracle loads numpy
-only.  Also checks that the command line reaches every module, so code
-that only the tests use lives under tests/, and that every name the
-benchmark's tracer hooks still exists.
+only.  Also checks that the command line reaches every module and that
+`wresbd verify` enters every module-level function, so code that only the
+tests use lives under tests/, and that every name the benchmark's tracer
+hooks still exists.
 """
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -70,10 +72,59 @@ def test_oracle_is_where_numpy_lives():
         assert "scipy" not in _reachable(module)[1], module
 
 
+def _run_python(code):
+    """Standard output of `code` run in a fresh interpreter on the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PKG.parent), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout
+
+
+# verify once per family, text and JSON, recording every code object
+# entered from the package's import on; numpy loads first, unrecorded
+_VERIFY_ENTERED = """
+import contextlib, io, json, sys
+from pathlib import Path
+import numpy
+entered = set()
+sys.setprofile(lambda frame, event, arg:
+               event == "call" and entered.add(frame.f_code))
+from wresbd import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify", "--family", "dirac", "--seeds", "1"]),
+             cli.main(["verify", "--family", "signature", "--seeds", "1",
+                       "--format", "json"])]
+sys.setprofile(None)
+pkg = Path(cli.__file__).parent
+print(json.dumps([codes, sorted(
+    "%s.%s" % (Path(c.co_filename).stem, c.co_qualname)
+    for c in entered if Path(c.co_filename).parent == pkg)]))
+"""
+
+# module-level functions that verify need not enter
+_NOT_RUN_BY_VERIFY = {
+    # the library entry, and the benchmark's assemble workload
+    "boundary.assemble",
+    # resolves the package's lazy oracle and ledger names for library
+    # callers; cli imports those modules directly (the import system only
+    # probes it for the submodule name)
+    "__init__.__getattr__",
+}
+
+
 def test_cli_reaches_every_module():
-    # a module that only the tests import belongs under tests/
+    # a module or function that only the tests use belongs under tests/
     modules = {p.stem for p in PKG.glob("*.py")} - {"__init__"}
     assert modules - _reachable("cli")[0] == set()
+    functions = {"%s.%s" % (p.stem, node.name)
+                 for p in PKG.glob("*.py")
+                 for node in ast.parse(p.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    codes, entered = json.loads(_run_python(_VERIFY_ENTERED))
+    assert codes == [0, 0]
+    assert functions - set(entered) <= _NOT_RUN_BY_VERIFY
 
 
 def test_package_and_engine_leave_numpy_and_scipy_unloaded():
@@ -85,13 +136,7 @@ def test_package_and_engine_leave_numpy_and_scipy_unloaded():
             "wresbd.build_ledger\n"
             "print(sorted(m for m in %r if m in sys.modules))\n"
             % (sorted(NUMERIC), sorted(NUMERIC)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PKG.parent), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=True).stdout.split()
-    assert out == ["[]", "['numpy']"]
+    assert _run_python(code).split() == ["[]", "['numpy']"]
 
 
 def test_every_benchmark_hook_resolves():

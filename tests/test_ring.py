@@ -308,11 +308,6 @@ class TestScalarRing:
         assert (S("SH") * S("XI2")).d_xn() == Scalar.rational(1, 2) * S("H1") * S("SH") * S("XI2")
         assert S("XI1").d_xn().is_zero()
 
-    def test_d_xi(self):
-        s = S("XI1", 3) * S("XI2")
-        assert s.d_xi(1) == 3 * S("XI1", 2) * S("XI2")
-        assert s.d_xi(3).is_zero()
-
 
 def _rational_sphere_points(n):
     """Exact rational points on S^4 via stereographic projection."""

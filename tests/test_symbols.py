@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from references import (equal_on_sphere, evaluate_symbol, homogeneity_order,
-                        pi_minus)
+from references import (equal_on_sphere, equals, evaluate_symbol,
+                        homogeneity_order, pi_minus)
 from wresbd.clifford import CliffordElement as CE
 from wresbd.ring import GRat, Scalar
 from wresbd.symbols import NotIntegrable, RationalSymbol, integrate_line, pi_plus
@@ -94,7 +94,7 @@ class TestPartialFractions:
         # 1/((x-i)(x+i)) = (i/2)[1/(x+i) - 1/(x-i)] ... check by recombining
         s = RationalSymbol(True, {(1, 1): [CE.one()]})
         plus, minus = pi_plus(s), pi_minus(s)
-        assert (plus + minus).equals(s)
+        assert equals(plus + minus, s)
         assert plus.terms == {(1, 0): [CE.scalar(GRat(0, Fraction(-1, 2)))]}
         assert minus.terms == {(0, 1): [CE.scalar(GRat(0, Fraction(1, 2)))]}
 
@@ -111,7 +111,7 @@ class TestPartialFractions:
                     with pytest.raises(ValueError, match="non-proper"):
                         proj(s)
                 continue
-            assert (pi_plus(s) + pi_minus(s)).equals(s)
+            assert equals(pi_plus(s) + pi_minus(s), s)
         assert 0 < rejected < 100
 
     def test_plus_minus_pole_purity(self):
@@ -129,10 +129,10 @@ class TestPiPlus:
             s = random_restricted(rng, proper=True, with_xi=True)
             p = pi_plus(s)
             m = pi_minus(s)
-            assert pi_plus(p).equals(p)
-            assert pi_minus(p).is_zero() or pi_minus(p).equals(
-                RationalSymbol.zero(True))
-            assert (p + m).equals(s)
+            assert equals(pi_plus(p), p)
+            assert pi_minus(p).is_zero() or equals(
+                pi_minus(p), RationalSymbol.zero(True))
+            assert equals(p + m, s)
 
     def test_first_order_inverse_projection(self):
         # pi_plus of i(c(xi') + xi_n c6)/(1+xi_n^2) on |xi'| = 1
@@ -144,7 +144,7 @@ class TestPiPlus:
             True,
             {(1, 0): [CE._coerce(Fraction(1, 2)) * cp
                       + CE.c(6, GRat(0, Fraction(1, 2)))]})
-        assert pi_plus(s).equals(want)
+        assert equals(pi_plus(s), want)
 
     def test_rejects_nonproper(self):
         s = RationalSymbol(True, {(1, 0): [CE.one(), CE.one()]})
@@ -164,13 +164,13 @@ class TestPiPlus:
 class TestDerivatives:
     def test_leibniz_unrestricted(self):
         rng = random.Random(13)
-        for var in ("xn", "xin", "xi2"):
+        for var in ("xn", "xin"):
             for _ in range(20):
                 f = random_unrestricted(rng)
                 g = random_unrestricted(rng)
                 lhs = (f * g).derive(var)
                 rhs = f.derive(var) * g + f * g.derive(var)
-                assert lhs.equals(rhs)
+                assert equals(lhs, rhs)
 
     def test_restrict_commutes_with_xin(self):
         rng = random.Random(17)
@@ -179,12 +179,7 @@ class TestDerivatives:
             _assert_xin_central_difference(f.derive("xin").restrict(),
                                            f.restrict())
 
-    def test_xprime_vanishes(self):
-        rng = random.Random(3)
-        assert random_unrestricted(rng).derive("xprime").is_zero()
-
-    @pytest.mark.parametrize("var", ["xn", "xin", "xi1", "xi2", "xi3", "xi4",
-                                     "xi5"])
+    @pytest.mark.parametrize("var", ["xn", "xin"])
     def test_derivative_after_restriction_rejected(self, var):
         rng = random.Random(3)
         with pytest.raises(ValueError, match="after restriction"):
@@ -193,13 +188,13 @@ class TestDerivatives:
     def test_quotient_rule_explicit(self):
         # d/dxi_n |xi|^-2 = -2 xi_n |xi|^-4
         s = RationalSymbol(False, {1: [CE.one()]})
-        assert s.derive("xin").equals(
-            RationalSymbol(False, {2: [CE.zero(), CE.scalar(-2)]}))
+        assert equals(s.derive("xin"),
+                      RationalSymbol(False, {2: [CE.zero(), CE.scalar(-2)]}))
 
-    @pytest.mark.parametrize("var", ["xn", "xin", "xi1", "xi3", "xi5"])
+    @pytest.mark.parametrize("var", ["xn", "xin"])
     def test_unrestricted_matches_central_difference(self, var):
         # x_n moves only SH = sqrt(h), with h(x_n) = 1 + H1 x_n, so SH = 1
-        # at the boundary; the other variables move themselves
+        # at the boundary; xi_n moves itself
         rng = random.Random(var)
         env0 = {"SH": 1.0 if var == "xn" else 1.3, "H1": 0.7, "XI1": 0.3,
                 "XI2": 0.1, "XI3": -0.4, "XI4": 0.2, "XI5": 0.5}
@@ -207,12 +202,9 @@ class TestDerivatives:
 
         def moved(s, t):
             env = dict(env0)
-            if var == "xn":
-                env["SH"] = math.sqrt(1 + env["H1"] * t)
-            elif var == "xin":
+            if var == "xin":
                 return evaluate_symbol(s, xin0 + t, env)
-            else:
-                env["XI" + var[2]] += t
+            env["SH"] = math.sqrt(1 + env["H1"] * t)
             return evaluate_symbol(s, xin0, env)
 
         for _ in range(20):
@@ -330,7 +322,7 @@ class TestRestriction:
                   Scalar.zero())
         lhs = RationalSymbol(False, {1: [CE.scalar(xi2)]})
         rhs = RationalSymbol(False, {1: [CE.one()]})
-        assert not lhs.equals(rhs)
+        assert not equals(lhs, rhs)
         with pytest.raises(ValueError, match="restricted"):
             equal_on_sphere(lhs, rhs)
         assert equal_on_sphere(lhs.restrict(), rhs.restrict())
@@ -357,3 +349,21 @@ _UNRESTRICTED = RationalSymbol(False, {1: [CE.one()]})
 def test_bad_input_rejected(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+@pytest.mark.parametrize("left, right", [
+    (GRat(0, 1), CE.c(1)),
+    (Scalar.sym("H1"), CE.c(1)),
+    (GRat(0, 1), RationalSymbol.constant(CE.c(1))),
+    (CE.c(1), RationalSymbol.constant(CE.c(2))),
+], ids=["grat-clifford", "scalar-clifford", "grat-symbol",
+        "clifford-symbol"])
+def test_lower_type_on_the_left_falls_through(left, right):
+    # the left operand cannot coerce the right one, so the right operand's
+    # reflected method takes the product, in the same order
+    got = left * right
+    want = right._coerce(left) * right
+    assert type(got) is type(right)
+    assert got.terms == want.terms
+    with pytest.raises(TypeError):
+        GRat(1) * 1.5
