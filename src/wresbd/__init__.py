@@ -23,8 +23,8 @@ import importlib
 
 from .boundary import (CASES, BoundaryCase, CaseResult, assemble,
                        evaluate_case, substitute_K)
-from .catalog import (DIRAC, FAMILIES, SIGNATURE, CatalogEntry,
-                      OperatorFamily, cubed_sigma, first_order_sigma)
+from .catalog import (DIRAC, FAMILIES, SIGNATURE, OperatorFamily,
+                      cubed_sigma, first_order_sigma)
 from .clifford import CliffordElement, normal_form, trace_ext, trace_spin
 from .ring import GRat, Scalar, sphere_integrate, sphere_moment
 from .symbols import NotIntegrable, RationalSymbol, integrate_line, pi_plus
@@ -46,7 +46,6 @@ __all__ = [
     "BoundaryCase",
     "CASES",
     "CaseResult",
-    "CatalogEntry",
     "CliffordElement",
     "DIRAC",
     "FAMILIES",

@@ -13,18 +13,19 @@ where sigma_r are the symbols of the inverse first-order operator and
 sigma_l those of its inverse cube.  With the available symbol orders
 (r in {-1,-2}, l in {-3,-4}) the constraint admits exactly five cases:
 
-    aI   r=-1, l=-3, |alpha|=1        (d_x' = 0 at x_0: no factor pairs)
+    aI   r=-1, l=-3, |alpha|=1        (d_x' = 0 at x_0: no blocks)
     aII  r=-1, l=-3, j=1
     aIII r=-1, l=-3, k=1
     b    r=-1, l=-4
     c    r=-2, l=-3
 
-Each other case is evaluated through one pipeline: every derivative, in
-x_n or xi_n, on the unrestricted symbol (d_xin^k commutes with pi^+),
-restriction to the boundary fibre, half-line projection on the first
-factor, fibre trace of the equal-word pairs of the two factors (the only
-products with a trace), exact xi_n line integral, exact sphere integral,
-prefactor.  All arithmetic is exact (Gaussian rationals).
+Each other case is evaluated block by block, one factor pair per block,
+through one pipeline: every derivative, in x_n or xi_n, on the
+unrestricted symbol (d_xin^k commutes with pi^+), restriction to the
+boundary fibre, half-line projection on the first factor, fibre trace of
+the equal-word pairs of the two factors (the only products with a trace),
+exact xi_n line integral, exact sphere integral, prefactor.  All
+arithmetic is exact (Gaussian rationals).
 """
 
 import math
@@ -126,33 +127,26 @@ def _derived(sym, xn, xin):
 
 
 def case_factor_pairs(family, case):
-    """Prepared factor pairs for one case, keyed by block name.
+    """Prepared factor pair of each block of one case.
 
-    Returns a dict mapping block name to the list of
-    (projected first factor, derived second factor) restricted-symbol
-    pairs whose traced products, summed and integrated, give that block's
-    contribution (before the case prefactor).  Cases without a block split
-    carry the single block name "total".  Built afresh on every call.
+    Returns a dict mapping block name to one (projected first factor,
+    derived second factor) pair of restricted symbols, whose traced
+    product, integrated, gives that block's contribution (before the case
+    prefactor).  aI has no blocks.  Built afresh on every call.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
-    second_entry = cubed_sigma(family, case.ell)
-    first_entry = first_order_sigma(family, case.r)
-
-    # the block split follows whichever factor carries named blocks
-    if case.r == -2 and first_entry.blocks:
-        split = [(name, blk, second_entry.expr)
-                 for name, blk in first_entry.blocks.items()]
-    elif second_entry.blocks:
-        split = [(name, first_entry.expr, blk)
-                 for name, blk in second_entry.blocks.items()]
-    else:
-        split = [("total", first_entry.expr, second_entry.expr)]
-
     # d_x' sigma_l = 0 at x_0 in normal coordinates: aI is zero, (3.12), (5.5)
-    return {name: [] if case.nalpha else
-            [(pi_plus(_derived(fexpr, case.j, case.k)),
-              _derived(sexpr, case.k, case.j + 1))]
-            for name, fexpr, sexpr in split}
+    if case.nalpha:
+        return {}
+    firsts = {name: pi_plus(_derived(sym, case.j, case.k))
+              for name, sym in first_order_sigma(family, case.r).items()}
+    seconds = {name: _derived(sym, case.k, case.j + 1)
+               for name, sym in cubed_sigma(family, case.ell).items()}
+    # at most one factor is split; a pair takes the split factor's block
+    # name, and "total" only when neither is split
+    return {min(fname, sname, key="total".__eq__): (first, second)
+            for fname, first in firsts.items()
+            for sname, second in seconds.items()}
 
 
 def _pair_value(family, first, second):
@@ -164,21 +158,15 @@ def _pair_value(family, first, second):
 
 def evaluate_case(family, case, pairs=None):
     """Exact value of one boundary case, with per-block breakdown, from the
-    case's ``case_factor_pairs`` (built here when `pairs` is None)."""
+    case's ``case_factor_pairs`` (built here when `pairs` is None): one
+    pair per block, and no blocks for aI."""
     family = FAMILIES[family] if isinstance(family, str) else family
     if pairs is None:
         pairs = case_factor_pairs(family, case)
     pref = case.prefactor()
-    blocks = {}
-    for name, block_pairs in pairs.items():
-        acc = Scalar.zero()
-        for fsym, ssym in block_pairs:
-            acc = acc + _pair_value(family, fsym, ssym)
-        blocks[name] = acc * pref
-    total = Scalar.zero()
-    for v in blocks.values():
-        total = total + v
-    return CaseResult(case, total, blocks)
+    blocks = {name: _pair_value(family, first, second) * pref
+              for name, (first, second) in pairs.items()}
+    return CaseResult(case, sum(blocks.values(), Scalar.zero()), blocks)
 
 
 def assemble(family):

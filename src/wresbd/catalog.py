@@ -10,13 +10,13 @@ Each family packages the data the boundary computation needs:
                (the odd twisting form and its adjoint).
 
 The catalog provides, at the distinguished boundary point in normal
-coordinates (straight metric with collar factor h(x_n), h(0)=1, h'(0)=H1):
+coordinates (straight metric with collar factor h(x_n), h(0)=1, h'(0)=H1),
+each order as {block name: symbol}, {"total": symbol} when unsplit:
 
 * first_order_sigma(family, -1 / -2): symbols of the inverse of the
-  first-order operator;
+  first-order operator (-2 split into the blocks of case c);
 * cubed_sigma(family, 3 / 2 / -3 / -4): leading symbols of the cube and
-  of its inverse (the -4 entry carries named sub-blocks matching the way
-  the boundary cases are reported).
+  of its inverse (2 and -4 split into the blocks of case b).
 
 sigma_0 and the cube's sigma_2 are stated once, in _pieces, by the block of
 the inverse each piece feeds.  One parametrix step, _parametrix, builds
@@ -32,7 +32,6 @@ from .symbols import RationalSymbol, _poly_add, _poly_mul, _poly_scale, b_poly
 
 __all__ = [
     "OperatorFamily",
-    "CatalogEntry",
     "DIRAC",
     "SIGNATURE",
     "FAMILIES",
@@ -60,16 +59,6 @@ class OperatorFamily:
 DIRAC = OperatorFamily("dirac", "spin", trace_spin)
 SIGNATURE = OperatorFamily("signature", "ext", trace_ext)
 FAMILIES = {"dirac": DIRAC, "signature": SIGNATURE}
-
-
-class CatalogEntry:
-    """One catalog symbol with optional named sub-blocks (blocks sum to expr)."""
-
-    __slots__ = ("expr", "blocks")
-
-    def __init__(self, expr, blocks=None):
-        self.expr = expr
-        self.blocks = blocks or {}
 
 
 # -- geometric building blocks at the boundary point -----------------------
@@ -225,14 +214,13 @@ def _parametrix(family, order, top):
         if not blocks:
             parts.append(_remainder(top, _i_c_xi(q)))
         blocks[name] = sum(parts[1:], parts[0])
-    expr = sum(blocks.values(), RationalSymbol.zero(False))
-    return CatalogEntry(expr, blocks)
+    return blocks
 
 
 def first_order_sigma(family, order):
     """Symbols of the inverse first-order operator at x_0 (orders -1, -2)."""
     if order == -1:
-        return CatalogEntry(_i_c_xi(1))
+        return {"total": _i_c_xi(1)}
     if order == -2:
         return _parametrix(family, 0, _i_c_xi(0))
     raise ValueError("first-order inverse catalog has orders -1 and -2 only")
@@ -241,14 +229,14 @@ def first_order_sigma(family, order):
 def cubed_sigma(family, order):
     """Leading symbols of the cube (3, 2) and its inverse (-3, -4) at x_0."""
     if order == 3:
-        return CatalogEntry(_i_c_xi(0) * _frac(b_poly(), 0))
+        return {"total": _i_c_xi(0) * _frac(b_poly(), 0)}
     if order == 2:
-        parts = [_sandwich(mid, 0) if s is None
-                 else _frac(_poly_mul(b_poly(), mid) if s else mid, 0)
-                 for pieces in _pieces(family, 2).values() for s, mid in pieces]
-        return CatalogEntry(sum(parts, RationalSymbol.zero(False)))
+        return {name: sum((_sandwich(mid, 0) if s is None else
+                           _frac(_poly_mul(b_poly(), mid) if s else mid, 0)
+                           for s, mid in pieces), RationalSymbol.zero(False))
+                for name, pieces in _pieces(family, 2).items()}
     if order == -3:
-        return CatalogEntry(_i_c_xi(2))
+        return {"total": _i_c_xi(2)}
     if order == -4:
-        return _parametrix(family, 2, cubed_sigma(family, 3).expr)
+        return _parametrix(family, 2, cubed_sigma(family, 3)["total"])
     raise ValueError("cube catalog has orders 3, 2, -3, -4 only")

@@ -7,7 +7,8 @@ Runs the exact boundary computation for the chosen operator family,
 cross-checks every tabulated quantity against the independent numeric
 oracle at the given seeds, and writes the verification ledger.  The exit
 status is 0 when every entry agrees with the oracle, 1 when one does not,
-and 2 on bad input, which is reported before any computation.
+and 2 on bad input, which is reported before any computation, or when the
+report cannot be written.
 
 Seeds are nonnegative integers; they default to the WRESBD_SEEDS
 environment variable (comma-separated) and then to "1,2,3".
@@ -85,8 +86,19 @@ def main(argv=None):
     case_ids = {args.case} if args.case else None
     with out as fh:
         ledger = build_ledger(args.family, seeds, case_ids=case_ids)
-        fh.write(render_json(ledger) if args.format == "json"
-                 else render_text(ledger))
+        report = (render_json(ledger) if args.format == "json"
+                  else render_text(ledger))
+        try:
+            fh.write(report)
+            fh.flush()
+        except OSError as exc:
+            # closed here, so that neither the with block nor the flush of
+            # stdout at exit retries the lost write
+            with contextlib.suppress(OSError):
+                fh.close()
+            sys.stderr.write("wresbd: error: cannot write report: %s\n"
+                             % exc)
+            return 2
     return 0 if ledger["all_match_oracle"] else 1
 
 

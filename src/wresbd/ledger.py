@@ -98,9 +98,13 @@ def build_ledger(family, seeds, case_ids=None):
 
     Returns a JSON-serializable dict.  `case_ids` optionally restricts the
     evaluation to a subset of case ids (totals are then omitted); an empty
-    selection or an id not in CASES raises ValueError.
+    selection, an id not in CASES or an empty `seeds` raises ValueError,
+    since none of them would check anything against the oracle.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("at least one seed is required")
     if case_ids is not None:
         if not set(case_ids):
             raise ValueError("no case selected")
@@ -108,7 +112,6 @@ def build_ledger(family, seeds, case_ids=None):
         if unknown:
             raise ValueError("unknown case ids: %s"
                              % ", ".join(map(repr, sorted(unknown))))
-    seeds = list(seeds)
     assignments = [OracleAssignment(s) for s in seeds]
     entries = []
     grand_exact = Scalar.zero()

@@ -213,14 +213,16 @@ def _numeric_terms(sym, env):
             for key, poly in sym.terms.items()]
 
 
-def _pair_integrand_polys(fsym, ssym, rep, assignment, out):
-    """Add the sphere-integrated numeric trace of one factor product to out.
+def _pair_integrand_polys(fsym, ssym, rep, assignment):
+    """The sphere-integrated numeric trace of one factor product.
 
-    out maps the pole key (A, B) -- denominator (xi_n - i)^A (xi_n + i)^B --
-    to the list of complex xi_n-polynomial coefficients of the numerator.
+    Returns a dict mapping the pole key (A, B) -- denominator
+    (xi_n - i)^A (xi_n + i)^B -- to the list of complex xi_n-polynomial
+    coefficients of the numerator.
     """
     first = _numeric_terms(fsym, assignment.env)
     second = _numeric_terms(ssym, assignment.env)
+    out = {}
     for k1, p1 in first:
         for k2, p2 in second:
             poly = out.setdefault((k1[0] + k2[0], k1[1] + k2[1]), [])
@@ -238,6 +240,7 @@ def _pair_integrand_polys(fsym, ssym, rep, assignment, out):
                             if len(poly) <= deg:
                                 poly.extend([0j] * (deg + 1 - len(poly)))
                             poly[deg] += _sphere_product(n1, n2) * tc * te
+    return out
 
 
 # midpoint rule in theta: the largest node count, and the agreement of two
@@ -289,19 +292,17 @@ def oracle_case(family, case, assignment, pairs=None):
     Returns (blocks, total) where blocks maps block name to a complex
     number and total is their sum; directly comparable to the exact
     CaseResult evaluated at the same assignment.  `pairs` is the case's
-    ``case_factor_pairs``, built here when None.
+    ``case_factor_pairs``, one pair per block and no blocks for aI, built
+    here when None.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
     if pairs is None:
         pairs = case_factor_pairs(family, case)
     n = case.nalpha + case.j + case.k + 1
     pref = (-1j) ** n / math.factorial(case.j + case.k + 1)  # alpha! = 1
-    blocks = {}
-    for name, block_pairs in pairs.items():
-        polys = {}
-        for fsym, ssym in block_pairs:
-            _pair_integrand_polys(fsym, ssym, family.rep, assignment, polys)
-        blocks[name] = pref * sum(
-            (_line_integral_numeric(poly, key)
-             for key, poly in polys.items() if any(poly)), 0j)
-    return blocks, sum(blocks.values())
+    blocks = {name: pref * sum(
+        (_line_integral_numeric(poly, key) for key, poly in
+         _pair_integrand_polys(fsym, ssym, family.rep, assignment).items()
+         if any(poly)), 0j)
+        for name, (fsym, ssym) in pairs.items()}
+    return blocks, sum(blocks.values(), 0j)

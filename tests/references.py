@@ -11,6 +11,8 @@
 * ``homogeneity_order``, ``evaluate_symbol`` and ``pi_minus`` -- a
   symbol's degree in the covariables, its numeric value at a real xi_n,
   and the principal part at xi_n = -i, the complement of ``pi_plus``.
+* ``compose`` and ``homogeneous_part`` -- the symbol of a composition at
+  x_0 to first order, and the terms of one degree in the covariables.
 * ``sphere_moment_numeric`` -- one Gamma-function sphere moment, from the
   oracle's moment table.
 * ``equals`` -- exact equality of two symbols as rational functions.
@@ -140,6 +142,24 @@ def homogeneity_order(sym):
     return order
 
 
+def homogeneous_part(sym, order):
+    """The terms of an unrestricted symbol of one degree in the covariables,
+    counted as in homogeneity_order."""
+    if sym.restricted:
+        raise ValueError("homogeneity is checked before restriction")
+    return RationalSymbol(False, {q: [
+        CE({key: Scalar({m: c for m, c in s.terms.items()
+                          if k + xi_degree_of(m) - 2 * q == order})
+            for key, s in ce.terms.items()})
+        for k, ce in enumerate(p)] for q, p in sym.terms.items()})
+
+
+def compose(p, q):
+    """Symbol of P o Q at x_0 to first order, PQ - i d_xin P d_xn Q (the
+    tangential summands vanish at x_0)."""
+    return p * q - p.derive("xin") * q.derive("xn") * _I
+
+
 def evaluate_symbol(sym, xin, assignment):
     """Numeric value at a real xi_n (complex output) of a scalar symbol."""
     total = 0j
@@ -180,19 +200,17 @@ def invert_cubed(family):
 
     Returns (q_{-3}, q_{-4}) built only from p_3, p_2 and the generic
     derivative machinery, q_{-3} = p_3^{-1} and
-    q_{-4} = -p_3^{-1} [p_2 p_3^{-1} + d_{xi_n} p_3 D_{x_n} p_3^{-1}]
-    (the tangential summands vanish at x_0); validates p_3 q_{-3} = 1 on
-    the way.
+    q_{-4} = -p_3^{-1} [p_2 p_3^{-1} + d_{xi_n} p_3 D_{x_n} p_3^{-1}],
+    the bracket being the order -1 part of compose(p_3 + p_2, q_{-3});
+    validates p_3 q_{-3} = 1 on the way.
     """
-    p3 = cubed_sigma(family, 3).expr
-    p2 = cubed_sigma(family, 2).expr
+    p3 = cubed_sigma(family, 3)["total"]
+    p2 = sum(cubed_sigma(family, 2).values(), RationalSymbol.zero())
     q3 = _i_c_xi(2)
     if not equals(p3 * q3, RationalSymbol.constant(CE.one())):
         raise AssertionError("q_{-3} is not inverse to p_3")
-    minus_i = Scalar.from_grat(GRat(0, -1))
-    inner = p2 * q3 + p3.derive("xin") * (q3.derive("xn") * minus_i)
-    q4 = -(q3 * inner)
-    return q3, q4
+    inner = homogeneous_part(compose(p3 + p2, q3), -1)
+    return q3, -(q3 * inner)
 
 
 # -- small constructors ------------------------------------------------------

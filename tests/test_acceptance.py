@@ -35,13 +35,14 @@ from references import (equal_on_sphere, equals, evaluate_symbol,
 from test_symbols import _quad_complex, random_restricted
 from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
 from wresbd.catalog import (DIRAC, SIGNATURE, _frac, _sandwich, alpha_dirac,
-                            c_endo, cubed_sigma, first_order_sigma)
+                            c_endo, cubed_sigma)
 from wresbd.clifford import CliffordElement, normal_form, trace_ext, trace_spin
 from wresbd.ledger import build_ledger, render_json, render_text
 from wresbd.oracle import (OracleAssignment, ext_degree_trace, rep_matrix,
                            word_matrix)
 from wresbd.ring import Scalar
-from wresbd.symbols import NotIntegrable, integrate_line, pi_plus
+from wresbd.symbols import (NotIntegrable, RationalSymbol, integrate_line,
+                            pi_plus)
 
 CE = CliffordElement
 C_GENS = [("C", j) for j in range(1, 7)]
@@ -145,8 +146,9 @@ class TestCatalogConsistency:
     @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
     def test_recursion_reproduces_catalog(self, fam):
         q3, q4 = invert_cubed(fam)
-        assert equals(q3, cubed_sigma(fam, -3).expr)
-        assert equals(q4, cubed_sigma(fam, -4).expr)
+        assert equals(q3, cubed_sigma(fam, -3)["total"])
+        assert equals(q4, sum(cubed_sigma(fam, -4).values(),
+                              RationalSymbol.zero()))
 
     @pytest.mark.parametrize(
         "eq_id",
@@ -165,11 +167,11 @@ class TestCatalogConsistency:
              strict=True,
              reason="signature copy of the (3.31) misprint"))])
     def test_stated_derivative_forms_match(self, eq_id):
-        q3d = cubed_sigma(DIRAC, -3).expr
+        q3d = cubed_sigma(DIRAC, -3)["total"]
         got = {
             "(3.15)": lambda: q3d.derive("xin").derive("xin").restrict(),
             "(3.21)": lambda: q3d.derive("xin").derive("xn").restrict(),
-            "(3.31)": lambda: cubed_sigma(DIRAC, -4).blocks["D1"]
+            "(3.31)": lambda: cubed_sigma(DIRAC, -4)["D1"]
                 .derive("xin").restrict(),
             "(3.34)": lambda: _sandwich(alpha_dirac(), 3)
                 .derive("xin").restrict(),
@@ -178,7 +180,7 @@ class TestCatalogConsistency:
             "(3.44)": lambda: _frac([c_endo("Phi")], 2)
                 .derive("xin").restrict(),
             "(3.56)": lambda: q3d.derive("xin").restrict(),
-            "(5.41)": lambda: cubed_sigma(SIGNATURE, -4).blocks["D1"]
+            "(5.41)": lambda: cubed_sigma(SIGNATURE, -4)["D1"]
                 .derive("xin").restrict(),
         }[eq_id]()
         fam = "dirac" if eq_id.startswith("(3") else "signature"

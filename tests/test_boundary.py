@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from references import paper_value
+from wresbd import boundary
 from wresbd.boundary import (CASES, _pair_value, _trace_symbol, assemble,
                              case_factor_pairs, evaluate_case, substitute_K)
 from wresbd.catalog import FAMILIES
@@ -53,17 +54,34 @@ def test_prefactors():
 def test_tangential_case_vanishes(fam):
     res = evaluate_case(fam, CASES[0])
     assert res.case.case_id == "aI"
-    assert res.value.is_zero()
+    assert res.value.is_zero() and res.blocks == {}
 
 
-def test_tangential_case_has_no_factor_pairs():
-    # d_x' sigma_l = 0 at x_0 is stated once, as an empty pair list; no
-    # symbol is derived tangentially
+def test_tangential_case_has_no_factor_pairs(monkeypatch):
+    # d_x' sigma_l = 0 at x_0 is stated once, as a case with no blocks,
+    # before the catalog is read; no symbol is derived tangentially
+    def refuse(*args):
+        raise AssertionError("case aI read the catalog")
+
+    monkeypatch.setattr(boundary, "first_order_sigma", refuse)
+    monkeypatch.setattr(boundary, "cubed_sigma", refuse)
     for fam in FAMS:
-        pairs = case_factor_pairs(fam, CASES[0])
-        assert pairs and all(p == [] for p in pairs.values())
+        assert case_factor_pairs(fam, CASES[0]) == {}
     with pytest.raises(ValueError, match="unknown derivative"):
         RationalSymbol(False, {1: [CE.one()]}).derive("xprime")
+
+
+def test_each_factor_reads_the_catalog_once(monkeypatch):
+    # the split factor's blocks all meet one read of the other factor
+    orders = []
+    for name in ("first_order_sigma", "cubed_sigma"):
+        monkeypatch.setattr(boundary, name,
+                            lambda fam, order, read=getattr(boundary, name):
+                            orders.append(order) or read(fam, order))
+    for case in CASES[1:]:
+        orders.clear()
+        case_factor_pairs("dirac", case)
+        assert sorted(orders) == sorted([case.r, case.ell]), case.case_id
 
 
 @pytest.mark.parametrize("fam", FAMS)
@@ -217,11 +235,10 @@ def test_trace_symbol_on_ledger_pairs_is_the_traced_product(fam):
     family = FAMILIES[fam]
     count = 0
     for case in CASES:
-        for block_pairs in case_factor_pairs(family, case).values():
-            for first, second in block_pairs:
-                assert (_trace_symbol(family, first, second).terms
-                        == _traced_product(family, first, second).terms)
-                count += 1
+        for first, second in case_factor_pairs(family, case).values():
+            assert (_trace_symbol(family, first, second).terms
+                    == _traced_product(family, first, second).terms)
+            count += 1
     assert count == 8
 
 
@@ -309,8 +326,7 @@ def test_pair_value_matches_the_oracle_on_random_pairs(fam):
         first, second = _random_pair(rng, fam)
         exact = _pair_value(family, first, second)
         want = exact.evaluate(_env_with_pair_traces(exact, assignment))
-        polys = {}
-        _pair_integrand_polys(first, second, family.rep, assignment, polys)
+        polys = _pair_integrand_polys(first, second, family.rep, assignment)
         got = sum((_line_integral_numeric(poly, key)
                    for key, poly in polys.items() if any(poly)), 0j)
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))

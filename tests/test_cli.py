@@ -1,10 +1,20 @@
 """Command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wresbd
 from wresbd.cli import main
+
+# a device that opens for writing and fails every write with ENOSPC
+FULL = "/dev/full"
+needs_full = pytest.mark.skipif(not os.path.exists(FULL),
+                                reason="no %s on this system" % FULL)
 
 
 def test_verify_text_output(capsys):
@@ -101,3 +111,37 @@ def test_unwritable_out_is_usage_error(no_ledger, capsys, tmp_path):
     err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",
                                 "aI", "--out", str(path)])
     assert "--out" in err
+
+
+def _write_error(err):
+    # one line, no traceback
+    assert err.startswith("wresbd: error: cannot write report: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@needs_full
+def test_failed_write_to_out_exits_2(capsys):
+    # exit 1 means an entry disagrees with the oracle; a lost report is not
+    # that
+    rc = main(["verify", "--family", "dirac", "--seeds", "1", "--case",
+               "aI", "--out", FULL])
+    assert rc == 2
+    _write_error(capsys.readouterr().err)
+
+
+@needs_full
+def test_failed_write_to_stdout_exits_2():
+    # run apart, so that the interpreter's own flush of stdout at exit is
+    # checked too (it exits 120 if that flush fails)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(wresbd.__file__).parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    with open(FULL, "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wresbd.cli", "verify", "--family",
+             "dirac", "--seeds", "1", "--case", "aI"],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    assert proc.returncode == 2
+    _write_error(proc.stderr)

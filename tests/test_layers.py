@@ -6,8 +6,8 @@ runs the engine in a fresh interpreter to check that importing the
 package loads neither numpy nor scipy, and that the oracle loads numpy
 only.  Also checks that the command line reaches every module and that
 `wresbd verify` enters every module-level function, so code that only the
-tests use lives under tests/, and that every name the benchmark's tracer
-hooks still exists.
+tests use lives under tests/, that every name the benchmark's tracer
+hooks still exists, and that no module imports a name it never uses.
 """
 
 import ast
@@ -23,6 +23,7 @@ import pytest
 import wresbd
 
 PKG = Path(wresbd.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 ENGINE = ("ring", "clifford", "symbols", "catalog", "boundary", "refdata")
 NUMERIC = {"numpy", "scipy"}
 
@@ -141,9 +142,43 @@ def test_package_and_engine_leave_numpy_and_scipy_unloaded():
 
 def test_every_benchmark_hook_resolves():
     # a hook whose target has moved makes its per-layer metrics read null
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     for _, module, attr in tracer.HOOKS:
         assert tracer._resolve(module, attr) is not None, (module, attr)
+
+
+def _unused_imports(source):
+    """Names a module imports and never reads; __all__ counts as a read."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("where", [PKG, ROOT / "tests", ROOT / "demos"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(where):
+    unused = {p.name: names for p in sorted(where.glob("*.py"))
+              if (names := _unused_imports(p.read_text()))}
+    assert unused == {}
+
+
+def test_unused_import_check_sees_one():
+    # guards the check itself
+    code = ("import os.path\nimport sys\nfrom json import dumps, loads as ld"
+            "\n__all__ = ['dumps']\nld(sys.argv[1])\n")
+    assert _unused_imports(code) == ["os"]

@@ -17,12 +17,16 @@ def test_entry_ids_unique_and_complete():
         assert required in ids
 
 
-def test_empty_seed_list_gives_exact_only_ledger():
-    led = build_ledger("signature", [])
-    assert led["seeds"] == []
-    assert all(e["seeds"] == [] for e in led["entries"])
-    assert led["all_match_oracle"] is True
-    assert "symbolic check only" in render_text(led)
+@pytest.mark.parametrize("seeds", [[], ()])
+def test_empty_seed_list_rejected(seeds, monkeypatch):
+    # no seed means no oracle comparison: the ledger must not report a
+    # vacuous all_match_oracle, nor evaluate a case first
+    def unreachable(*args):
+        raise AssertionError("a case was evaluated")
+
+    monkeypatch.setattr(ledger, "evaluate_case", unreachable)
+    with pytest.raises(ValueError, match="at least one seed is required"):
+        build_ledger("dirac", seeds)
 
 
 def test_json_entries_sorted_by_id():
@@ -42,7 +46,7 @@ def test_text_report_shows_both_values_per_entry():
 
 def test_interior_term_rendered_as_annotation():
     for fam in ("dirac", "signature"):
-        led = build_ledger(fam, [])
+        led = build_ledger(fam, [1], case_ids={"aI"})
         assert led["interior_term"]
         assert "reported, not verified" in render_text(led)
 

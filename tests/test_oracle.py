@@ -125,19 +125,18 @@ def test_integrand_does_not_multiply_scalars(monkeypatch):
     family = FAMILIES["dirac"]
     assignment = OracleAssignment(1)
     pairs = [p for case in CASES
-             for ps in case_factor_pairs(family, case).values() for p in ps]
-    want = {}
-    for fsym, ssym in pairs:
-        _pair_integrand_polys(fsym, ssym, family.rep, assignment, want)
+             for p in case_factor_pairs(family, case).values()]
+    want = [_pair_integrand_polys(fsym, ssym, family.rep, assignment)
+            for fsym, ssym in pairs]
 
     def refuse(*args):
         raise AssertionError("the oracle formed an exact Scalar product")
 
     monkeypatch.setattr(ring.Scalar, "__mul__", refuse)
-    got = {}
-    for fsym, ssym in pairs:
-        _pair_integrand_polys(fsym, ssym, family.rep, assignment, got)
-    assert got == want and any(any(poly) for poly in got.values())
+    got = [_pair_integrand_polys(fsym, ssym, family.rep, assignment)
+           for fsym, ssym in pairs]
+    assert got == want and any(any(poly) for polys in got
+                               for poly in polys.values())
 
 
 def test_assignment_is_reproducible_and_consistent():
