@@ -1,14 +1,16 @@
-"""Walk one boundary case through the pipeline, stage by stage.
+"""Walk one boundary case of the twisted Dirac family through the pipeline.
 
-The case evaluated here is the one with symbol orders (r, l) = (-1, -4)
-and a single extra normal-covariable derivative on the second factor.
-Each stage prints what it produced, so the output reads as a worked
-example of the general term
+The general term of a boundary case is
 
     (-i)^(|a|+j+k+1) / (a! (j+k+1)!)
       * integral over xi' of the line integral in xi_n of
         tr[ d_xn^j d_xi'^a d_xin^k pi^+ sigma_r  *
             d_x'^a d_xin^(j+1) d_xn^k sigma_l ].
+
+Case b has symbol orders (r, l) = (-1, -4) and j = k = |a| = 0, so the
+second factor carries the one xi_n-derivative that every case has.  The
+script prints the case's indices and prefactor, the names of the blocks
+the second factor splits into, each block's value and the case value.
 """
 
 from wresbd.boundary import CASES, case_factor_pairs, evaluate_case

@@ -132,7 +132,7 @@ def case_factor_pairs(family, case):
     Returns a dict mapping block name to one (projected first factor,
     derived second factor) pair of restricted symbols, whose traced
     product, integrated, gives that block's contribution (before the case
-    prefactor).  aI has no blocks.  Built afresh on every call.
+    prefactor).  aI has no blocks.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
     # d_x' sigma_l = 0 at x_0 in normal coordinates: aI is zero, (3.12), (5.5)

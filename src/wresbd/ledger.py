@@ -41,20 +41,13 @@ def _match(a, b):
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), _ABS_FLOOR)
 
 
-def _entry(case_id, block, exact, family_name, oracle_values):
+def _entry(case_id, block, exact, family_name, seeds, assignments, oracle):
     eq_id, ref = PUBLISHED[family_name][(case_id, block)]
-    seed_rows = []
-    all_match = True
-    for seed, assignment, oval in oracle_values:
+    rows = []
+    for seed, assignment, oval in zip(seeds, assignments, oracle):
         ev = complex(exact.evaluate(assignment.env))
-        ok = _match(ev, oval)
-        all_match = all_match and ok
-        seed_rows.append({
-            "seed": seed,
-            "exact": _cnum(ev),
-            "oracle": _cnum(oval),
-            "match_oracle": ok,
-        })
+        rows.append({"seed": seed, "exact": _cnum(ev), "oracle": _cnum(oval),
+                     "match_oracle": _match(ev, oval)})
     return {
         "id": eq_id,
         "case": case_id,
@@ -62,8 +55,8 @@ def _entry(case_id, block, exact, family_name, oracle_values):
         "exact": exact.render(),
         "paper": ref.render(),
         "match_paper": (exact - ref).is_zero(),
-        "match_oracle": all_match,
-        "seeds": seed_rows,
+        "match_oracle": all(row["match_oracle"] for row in rows),
+        "seeds": rows,
     }
 
 
@@ -114,36 +107,33 @@ def build_ledger(family, seeds, case_ids=None):
                              % ", ".join(map(repr, sorted(unknown))))
     assignments = [OracleAssignment(s) for s in seeds]
     entries = []
+
+    def add(case_id, block, exact, oracle):
+        entries.append(_entry(case_id, block, exact, family.name, seeds,
+                              assignments, oracle))
+
     grand_exact = Scalar.zero()
-    grand_oracle = [0j] * len(seeds)  # per seed position; seeds may repeat
-    selected = [c for c in CASES
-                if case_ids is None or c.case_id in case_ids]
-    for case in selected:
+    totals = []  # per case, its oracle totals aligned with seeds
+    for case in CASES:
+        if case_ids is not None and case.case_id not in case_ids:
+            continue
         # called through the module, so a patched builder is the one used
         pairs = boundary.case_factor_pairs(family, case)
         res = evaluate_case(family, case, pairs)
-        per_seed = []
-        for i, (seed, a) in enumerate(zip(seeds, assignments)):
-            oblocks, ototal = oracle_case(family, case, a, pairs)
-            per_seed.append((seed, a, oblocks, ototal))
-            grand_oracle[i] += ototal
-        grand_exact = grand_exact + res.value
+        oracle = [oracle_case(family, case, a, pairs) for a in assignments]
         if len(res.blocks) > 1:
             for name, bval in res.blocks.items():
-                ovals = [(s, a, ob[name]) for s, a, ob, _ in per_seed]
-                entries.append(_entry(case.case_id, name, bval,
-                                      family.name, ovals))
-        ovals = [(s, a, ot) for s, a, _, ot in per_seed]
-        entries.append(_entry(case.case_id, None, res.value, family.name,
-                              ovals))
+                add(case.case_id, name, bval, [ob[name] for ob, _ in oracle])
+        totals.append([ot for _, ot in oracle])
+        add(case.case_id, None, res.value, totals[-1])
+        grand_exact = grand_exact + res.value
 
     if case_ids is None:
-        ovals = list(zip(seeds, assignments, grand_oracle))
-        entries.append(_entry("total", None, grand_exact, family.name,
-                              ovals))
-        entries.append(_entry("total", "mean-curvature form",
-                              substitute_K(grand_exact), family.name,
-                              ovals))
+        # summed per seed position in case order; seeds may repeat
+        grand_oracle = [sum(col, 0j) for col in zip(*totals)]
+        add("total", None, grand_exact, grand_oracle)
+        add("total", "mean-curvature form", substitute_K(grand_exact),
+            grand_oracle)
         if family.name == "signature":
             entries.append(_b6_pattern_entry())
 
@@ -158,7 +148,8 @@ def build_ledger(family, seeds, case_ids=None):
 
 
 def _fmt_c(d):
-    if abs(d["im"]) < 1e-12:
+    # an imaginary part this small against |z| is float noise of the sums
+    if abs(d["im"]) < 1e-12 * max(1.0, abs(complex(d["re"], d["im"]))):
         return "%.12g" % d["re"]
     return "%.12g%+.12gi" % (d["re"], d["im"])
 

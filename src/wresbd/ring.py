@@ -169,22 +169,10 @@ def _coeff_str(c):
     """Render a Gaussian rational: 3/4, -2, I, -1/2*I, (1+2*I)."""
     if c.im == 0:
         return str(c.re)
+    ims = {1: "I", -1: "-I"}.get(c.im, "%s*I" % c.im)
     if c.re == 0:
-        if c.im == 1:
-            return "I"
-        if c.im == -1:
-            return "-I"
-        return "%s*I" % c.im
-    im = c.im
-    if im == 1:
-        ims = "I"
-    elif im == -1:
-        ims = "-I"
-    else:
-        ims = "%s*I" % im
-    if not ims.startswith("-"):
-        return "(%s+%s)" % (c.re, ims)
-    return "(%s%s)" % (c.re, ims)
+        return ims
+    return "(%s%s%s)" % (c.re, "" if ims.startswith("-") else "+", ims)
 
 
 def _mono_key(mono):

@@ -26,10 +26,11 @@ exactly as 2*pi*i times the residue at +i.
 Each rule is stated once.  One quotient rule serves both derivatives, in
 x_n and in xi_n (no symbol is derived tangentially); a restricted symbol
 has neither.
-One expansion at a pole, the Gaussian-rational weights of _pole_weights
-for each numerator power, serves pi_plus and integrate_line: the
-projection scales every numerator coefficient by all of its weights, the
-line integral by the last one, the residue at +i.
+One expansion at the pole xi_n = +i, the Gaussian-rational weights of
+_pole_weights for each numerator power, serves pi_plus and
+integrate_line: the projection scales every numerator coefficient by all
+of its weights, the line integral by the last one, the residue.  Nothing
+expands at -i: the tests' pi_minus is pi_plus reflected in xi_n.
 """
 
 from fractions import Fraction
@@ -98,38 +99,24 @@ def _poly_map(p, f):
     return _trim([c.map_scalars(f) for c in p])
 
 
-@lru_cache(maxsize=None)
-def _pole_weights(root, n, m, d):
-    """Principal part at xi = root of xi^d / ((xi - root)^n (xi + root)^m).
+_I = GRat(0, 1)
 
-    With xi = root + u these are the u^t coefficients, t < n, of
-    (u + root)^d (u + 2 root)^-m; weight t belongs to (xi - root)^(t - n),
-    so the last one is the residue.  Empty when n = 0.
+
+@lru_cache(maxsize=None)
+def _pole_weights(n, m, d):
+    """Principal part at xi = i of xi^d / ((xi - i)^n (xi + i)^m).
+
+    With xi = i + u these are the u^t coefficients, t < n, of
+    (u + i)^d (u + 2i)^-m; weight t belongs to (xi - i)^(t - n), so the
+    last one is the residue.  Empty when n = 0.
     """
-    inv = GRat(1) / (root * 2)
-    shift = [comb(d, k) * root ** (d - k) for k in range(min(d, n - 1) + 1)]
+    inv = GRat(1) / (_I * 2)
+    shift = [comb(d, k) * _I ** (d - k) for k in range(min(d, n - 1) + 1)]
     tail = [inv ** m]
     for s in range(n - 1):
         tail.append(tail[-1] * inv * Fraction(-(m + s), s + 1))
     return tuple(sum(shift[k] * tail[t - k] for k in range(min(t, d) + 1))
                  for t in range(n))
-
-
-def _principal_part(p, root, n, m):
-    """Principal part of p / ((xi - root)^n (xi + root)^m) at xi = root.
-
-    Returns the coefficients of (xi - root)^-n, ..., (xi - root)^-1;
-    empty when n = 0.
-    """
-    out = [CE.zero()] * n
-    for d, c in enumerate(p):
-        for t, w in enumerate(_pole_weights(root, n, m, d)):
-            if w:
-                out[t] = out[t] + c * w
-    return out
-
-
-_I = GRat(0, 1)
 
 
 def b0_scalar():
@@ -287,11 +274,11 @@ class RationalSymbol:
         return "RationalSymbol(%s, %d terms)" % (phase, len(self.terms))
 
 
-def _principal_parts(sym, root):
-    """Principal part at xi_n = root (+/- i) of a proper restricted symbol.
+def pi_plus(sym):
+    """Keep the principal part at xi_n = +i (the boundary projection).
 
-    Sums the principal parts at `root` of the terms
-    p / ((xi_n - i)^a (xi_n + i)^b); the result has poles at `root` only.
+    Sums the principal parts at +i of the terms
+    p / ((xi_n - i)^a (xi_n + i)^b); the result has keys (a, 0) only.
     Raises ValueError before any work if some numerator has degree
     >= a + b.
     """
@@ -299,19 +286,17 @@ def _principal_parts(sym, root):
         raise ValueError("principal parts require the restricted phase")
     if any(len(p) > a + b for (a, b), p in sym.terms.items()):
         raise ValueError("principal part of a non-proper symbol")
-    plus = root == _I
     out = {}
     for (a, b), p in sym.terms.items():
-        n, m = (a, b) if plus else (b, a)
-        for j, c in enumerate(_principal_part(p, root, n, m)):
-            key = (n - j, 0) if plus else (0, n - j)
+        part = [CE.zero()] * a
+        for d, c in enumerate(p):
+            for t, w in enumerate(_pole_weights(a, b, d)):
+                if w:
+                    part[t] = part[t] + c * w
+        for t, c in enumerate(part):
+            key = (a - t, 0)
             out[key] = _poly_add(out.get(key, []), [c])
     return RationalSymbol(True, out)
-
-
-def pi_plus(sym):
-    """Keep the principal part at xi_n = +i (the boundary projection)."""
-    return _principal_parts(sym, _I)
 
 
 def integrate_line(sym):
@@ -340,7 +325,7 @@ def integrate_line(sym):
             tail = tail + p[-1]
         for d, c in enumerate(p):
             if a and c.terms:
-                residue = residue + c * _pole_weights(_I, a, b, d)[-1]
+                residue = residue + c * _pole_weights(a, b, d)[-1]
     if tail.terms:
         raise NotIntegrable("integrand decays like |xi_n|^-1")
     return Scalar.sym("PI") * (residue * GRat(0, 2))

@@ -10,7 +10,8 @@
   the printed forms assume.
 * ``homogeneity_order``, ``evaluate_symbol`` and ``pi_minus`` -- a
   symbol's degree in the covariables, its numeric value at a real xi_n,
-  and the principal part at xi_n = -i, the complement of ``pi_plus``.
+  and the principal part at xi_n = -i, the complement of ``pi_plus``,
+  taken as the reflection xi_n -> -xi_n of ``pi_plus``.
 * ``compose`` and ``homogeneous_part`` -- the symbol of a composition at
   x_0 to first order, and the terms of one degree in the covariables.
 * ``sphere_moment_numeric`` -- one Gamma-function sphere moment, from the
@@ -32,7 +33,7 @@ from wresbd.oracle import _moments
 from wresbd.refdata import PUBLISHED
 from wresbd.ring import XI_SYMBOLS, GRat, Scalar, _normalize_mono
 from wresbd.symbols import (RationalSymbol, _poly_add, _poly_map, _poly_mul,
-                            _principal_parts, b0_scalar, b_poly)
+                            b0_scalar, b_poly, pi_plus)
 
 CE = CliffordElement
 
@@ -180,9 +181,25 @@ def evaluate_symbol(sym, xin, assignment):
     return total
 
 
+def _reflect(sym):
+    """A restricted symbol at -xi_n.
+
+    p(xi_n) / ((xi_n - i)^a (xi_n + i)^b) becomes
+    (-1)^(a+b) p(-xi_n) / ((xi_n - i)^b (xi_n + i)^a): key (a, b) goes to
+    (b, a) and the coefficient of xi_n^d is scaled by (-1)^(a+b+d).
+    """
+    return RationalSymbol(True, {
+        (b, a): [c * (-1) ** (a + b + d) for d, c in enumerate(p)]
+        for (a, b), p in sym.terms.items()})
+
+
 def pi_minus(sym):
-    """Keep the principal part at xi_n = -i; pi_plus + pi_minus = id."""
-    return _principal_parts(sym, _MINUS_I)
+    """Keep the principal part at xi_n = -i; pi_plus + pi_minus = id.
+
+    The reflection xi_n -> -xi_n swaps the poles at +i and -i, so this is
+    pi_plus conjugated by it.
+    """
+    return _reflect(pi_plus(_reflect(sym)))
 
 
 def sphere_moment_numeric(exps):

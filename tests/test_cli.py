@@ -106,6 +106,17 @@ def test_bad_env_seeds_is_usage_error(no_ledger, capsys, monkeypatch):
     assert "WRESBD_SEEDS" in err
 
 
+def test_empty_seed_list_is_usage_error(no_ledger, capsys):
+    err = _usage_error(capsys, ["verify", "--family", "dirac", "--seeds", ","])
+    assert "at least one seed is required" in err
+
+
+def test_empty_env_seed_list_is_usage_error(no_ledger, capsys, monkeypatch):
+    monkeypatch.setenv("WRESBD_SEEDS", ",")
+    err = _usage_error(capsys, ["verify", "--family", "dirac"])
+    assert "WRESBD_SEEDS: at least one seed is required" in err
+
+
 def test_unwritable_out_is_usage_error(no_ledger, capsys, tmp_path):
     path = tmp_path / "missing" / "report.txt"
     err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",

@@ -140,6 +140,34 @@ def test_package_and_engine_leave_numpy_and_scipy_unloaded():
     assert _run_python(code).split() == ["[]", "['numpy']"]
 
 
+# the package's lazy names, resolved in a fresh interpreter
+_LAZY_RESOLVED = """
+import importlib, json, sys
+import wresbd
+loaded_at_import = "numpy" in sys.modules
+same = {name: getattr(wresbd, name)
+        is getattr(importlib.import_module("wresbd." + module), name)
+        for name, module in wresbd._LAZY.items()}
+try:
+    wresbd.no_such_name
+    error = None
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps([loaded_at_import, same, "numpy" in sys.modules, error]))
+"""
+
+
+def test_lazy_package_names_resolve_on_first_use():
+    # README's Library section reads the oracle and ledger names from the
+    # package itself; every name in __all__ that the package does not bind
+    # at import is one of them
+    before, same, after, error = json.loads(_run_python(_LAZY_RESOLVED))
+    assert before is False and after is True
+    assert set(same) == set(wresbd.__all__) - set(vars(wresbd))
+    assert all(same.values()), same
+    assert "'no_such_name'" in error
+
+
 def test_every_benchmark_hook_resolves():
     # a hook whose target has moved makes its per-layer metrics read null
     path = ROOT / "perfbench" / "tracer.py"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wresbd import boundary, ledger
-from wresbd.ledger import build_ledger, render_json, render_text
+from wresbd.ledger import _fmt_c, build_ledger, render_json, render_text
 
 
 def test_entry_ids_unique_and_complete():
@@ -42,6 +42,18 @@ def test_text_report_shows_both_values_per_entry():
     assert "(3.33)" in text
     assert "exact:" in text and "paper:" in text
     assert "match_paper=" in text and "match_oracle=" in text
+
+
+@pytest.mark.parametrize("z, text", [
+    # (5.43) at seed 1 with its oracle sums regrouped: the imaginary part is
+    # float noise, 3e-16 of |z|
+    (complex(-8490.455143151401, -2.50111042988e-12), "-8490.45514315"),
+    # near 1 the cutoff is 1e-12 itself, so 1e-11 is shown
+    (complex(1.0, 1e-11), "1+1e-11i"),
+    (complex(0.0, 2.5), "0+2.5i"),
+])
+def test_imaginary_part_hidden_only_below_relative_noise(z, text):
+    assert _fmt_c({"re": z.real, "im": z.imag}) == text
 
 
 def test_interior_term_rendered_as_annotation():
