@@ -7,7 +7,7 @@ Two anticommuting families of generators over a 6-dimensional space:
 
 Distinct generators anticommute, including every mixed pair c(e_i) hat-c(e_j)
 (also for i = j).  Words are kept in a canonical sorted order (all C's before
-all CH's, each by index) with signs tracked by the bubble normal form.
+all CH's, each by index), with signs tracked as 12-bit masks by normal_form.
 
 Elements may carry a short word of formal bundle endomorphisms ('fam', j) --
 the connection-form symbols of the twisting bundle.  These commute with the
@@ -42,42 +42,45 @@ SPIN_DIM = 8
 EXT_DIM = 64
 
 
-def _gkey(g):
-    kind, j = g
-    return (0 if kind == "C" else 1, j)
+# c(e_1)..c(e_6) are bits 0-5 and hat-c(e_1)..hat-c(e_6) bits 6-11 of a
+# word's mask, so ascending bits are the canonical order
+_BITS = [("C", j) for j in range(1, 7)] + [("CH", j) for j in range(1, 7)]
+_BIT = {g: b for b, g in enumerate(_BITS)}
+# canonical word of each mask met so far (at most 4096)
+_WORDS = {}
 
 
 def _check_gen(g):
-    if (
-        not isinstance(g, tuple)
-        or len(g) != 2
-        or g[0] not in ("C", "CH")
-        or not 1 <= g[1] <= 6
-    ):
-        raise ValueError("bad Clifford generator %r" % (g,))
+    """The mask bit of generator g; ValueError if g is not a generator."""
+    try:
+        return _BIT[g]
+    except (KeyError, TypeError):
+        raise ValueError("bad Clifford generator %r" % (g,)) from None
+
+
+def _reduce(word):
+    """(sign, mask) of a generator word; see normal_form."""
+    odd = m = 0
+    for g in word:
+        b = _check_gen(g)
+        odd += (m >> b + 1).bit_count() + ((m & 63) >> b & 1)
+        m ^= 1 << b
+    return -1 if odd & 1 else 1, m
 
 
 def normal_form(word):
     """Sort a generator word, tracking the anticommutation sign.
 
-    Returns (sign, canonical_word).  Repeated generators contract via
-    c^2 = -1 / hat-c^2 = +1.  sign is +1 or -1.
+    Returns (sign, canonical_word), sign +1 or -1.  Generator bit b moves
+    past the (m >> b+1).bit_count() generators above it in the mask m so
+    far, contracts via c^2 = -1 / hat-c^2 = +1 if bit b is set, and m
+    becomes m ^ (1 << b).  A lazily filled table maps m to its word.
     """
-    sign = 1
-    out = []
-    for g in word:
-        _check_gen(g)
-        pos = len(out)
-        while pos > 0 and _gkey(out[pos - 1]) > _gkey(g):
-            pos -= 1
-            sign = -sign
-        if pos > 0 and out[pos - 1] == g:
-            out.pop(pos - 1)
-            if g[0] == "C":
-                sign = -sign
-        else:
-            out.insert(pos, g)
-    return sign, tuple(out)
+    sign, m = _reduce(word)
+    w = _WORDS.get(m)
+    if w is None:
+        w = _WORDS[m] = tuple(g for b, g in enumerate(_BITS) if m >> b & 1)
+    return sign, w
 
 
 class CliffordElement:
@@ -101,7 +104,6 @@ class CliffordElement:
 
     @classmethod
     def scalar(cls, c):
-        c = Scalar._coerce(c)
         return cls({((), ()): c})
 
     @classmethod
@@ -109,17 +111,12 @@ class CliffordElement:
         return cls.scalar(1)
 
     @classmethod
-    def gen(cls, kind, j, coeff=1):
-        _check_gen((kind, j))
-        return cls({(((kind, j),), ()): Scalar._coerce(coeff)})
-
-    @classmethod
     def c(cls, j, coeff=1):
-        return cls.gen("C", j, coeff)
+        return cls.word((("C", j),), coeff)
 
     @classmethod
     def ch(cls, j, coeff=1):
-        return cls.gen("CH", j, coeff)
+        return cls.word((("CH", j),), coeff)
 
     @classmethod
     def endo(cls, fam, j, coeff=1):
@@ -127,9 +124,11 @@ class CliffordElement:
 
     @classmethod
     def word(cls, gens, coeff=1):
-        sign, w = normal_form(tuple(gens))
+        sign, w = normal_form(gens)
         c = Scalar._coerce(coeff)
-        return cls({(w, ()): -c if sign < 0 else c})
+        r = cls.__new__(cls)
+        r.terms = {} if c.is_zero() else {(w, ()): -c if sign < 0 else c}
+        return r
 
     # -- algebra ----------------------------------------------------------
 
@@ -286,14 +285,12 @@ def trace_ext_degree(word, degree):
     word whose indices do not pair up as c_j chat_j has no diagonal entry.
     c_j chat_j acts as +1 on forms containing e_j and -1 on the others, so
     a product of p such pairs has trace [t^m] (1+t)^(6-p) (t-1)^p on
-    m-forms.  The reduced word differs from that product by a sign.
+    m-forms; the reduced word (p C's, then p CH's) is (-1)^(p(p-1)/2) times it.
     """
-    sign, w = normal_form(word)
-    pairs = [j for kind, j in w if kind == "C"]
-    if pairs != [j for kind, j in w if kind == "CH"]:
+    sign, m = _reduce(word)
+    if m & 63 != m >> 6:
         return 0
-    order, _ = normal_form([g for j in pairs for g in (("C", j), ("CH", j))])
-    p = len(pairs)
+    p = (m & 63).bit_count()
     coeff = sum(comb(6 - p, degree - k) * comb(p, k) * (-1) ** (p - k)
                 for k in range(max(0, degree - 6 + p), min(p, degree) + 1))
-    return sign * order * coeff
+    return sign * (-1) ** (p * (p - 1) // 2) * coeff

@@ -230,7 +230,9 @@ class Scalar:
     @classmethod
     def from_grat(cls, c):
         c = _coerce(c)
-        return cls({(): c}) if c else cls()
+        s = cls.__new__(cls)
+        s.terms = {(): c} if c else {}
+        return s
 
     @classmethod
     def one(cls):

@@ -20,6 +20,9 @@
 * ``invert_cubed`` -- the inverse-cube symbols from the generic composition
   recursion, which cross-checks the catalog's parametrix step.
 * ``paper_value`` -- one published case value, by its equation id.
+* ``normal_form_by_sort`` -- the Clifford normal form by insertion sort,
+  one anticommutation at a time, against which the mask reduction of
+  ``wresbd.clifford.normal_form`` is checked.
 """
 
 from fractions import Fraction
@@ -228,6 +231,34 @@ def invert_cubed(family):
         raise AssertionError("q_{-3} is not inverse to p_3")
     inner = homogeneous_part(compose(p3 + p2, q3), -1)
     return q3, -(q3 * inner)
+
+
+def _gkey(g):
+    kind, j = g
+    return (0 if kind == "C" else 1, j)
+
+
+def normal_form_by_sort(word):
+    """(sign, canonical word) of a word of valid generators.
+
+    Each generator is moved left past every generator above it in (kind,
+    index) order, flipping the sign at each step, and contracts with an
+    equal neighbour via c^2 = -1 / hat-c^2 = +1.
+    """
+    sign = 1
+    out = []
+    for g in word:
+        pos = len(out)
+        while pos > 0 and _gkey(out[pos - 1]) > _gkey(g):
+            pos -= 1
+            sign = -sign
+        if pos > 0 and out[pos - 1] == g:
+            out.pop(pos - 1)
+            if g[0] == "C":
+                sign = -sign
+        else:
+            out.insert(pos, g)
+    return sign, tuple(out)
 
 
 # -- small constructors ------------------------------------------------------

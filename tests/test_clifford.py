@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from references import reduce_unit_sphere
+from references import normal_form_by_sort, reduce_unit_sphere
 from wresbd.clifford import (
     EXT_DIM,
     SPIN_DIM,
@@ -82,6 +82,25 @@ class TestNormalForm:
             assert np.allclose(word_matrix(word, "ext"),
                                sign * word_matrix(w, "ext"))
 
+    def test_matches_insertion_sort(self):
+        # all 22,621 words of length <= 4 over the 12 generators, then
+        # seeded longer ones
+        for n in range(5):
+            for word in itertools.product(ALL_GENS, repeat=n):
+                assert normal_form(word) == normal_form_by_sort(word)
+        rng = random.Random(24)
+        for _ in range(2000):
+            word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(5, 10)))
+            assert normal_form(word) == normal_form_by_sort(word)
+
+    def test_word_takes_one_shot_iterator(self):
+        word = [("CH", 2), ("C", 5), ("C", 1)]
+        got = CE.word((g for g in word), 3)
+        assert got == CE.word(word, 3)
+        # C5 passes CH2, C1 passes both: three anticommutations
+        key = (("C", 1), ("C", 5), ("CH", 2))
+        assert got.terms == {(key, ()): Scalar.rational(-3)}
+
 
 def _random_element(rng, gens, max_words=3, max_len=3):
     e = CE.zero()
@@ -146,9 +165,15 @@ class TestTraces:
 
 @pytest.mark.parametrize("make", [lambda: CE.c(7), lambda: CE.c(0),
                                   lambda: CE.word([("X", 1)]),
-                                  lambda: normal_form([("C", 1), "C"])],
-                         ids=["c7", "c0", "kind", "not-a-pair"])
+                                  lambda: normal_form([("C", 1), "C"]),
+                                  lambda: normal_form([["C", 1]]),
+                                  lambda: normal_form([("C", [1])]),
+                                  lambda: CE.c(1.5),
+                                  lambda: CE.word([("C", 2), ("CH", 0)])],
+                         ids=["c7", "c0", "kind", "not-a-pair", "list",
+                              "unhashable-index", "float-index", "ch0"])
 def test_bad_generators_rejected(make):
+    # never a bare TypeError, also for an unhashable generator
     with pytest.raises(ValueError, match="bad Clifford generator"):
         make()
 
@@ -238,10 +263,29 @@ class TestExactDegreewiseTrace:
             for m in range(7):
                 assert trace_ext_degree(word, m) == ext_degree_trace(word, m)
 
+    def test_every_reduced_word(self):
+        # all 4096 reduced words, each matrix built from its prefix's with
+        # one product, walked depth first; the diagonal of a word's matrix
+        # summed over the forms of one degree is ext_degree_trace's value
+        degree = [bin(s).count("1") for s in range(EXT_DIM)]
+        gens = [(g, rep_matrix(g, "ext")) for g in ALL_GENS]
+        seen = 0
+        stack = [((), np.eye(EXT_DIM), 0)]
+        while stack:
+            word, mat, start = stack.pop()
+            want = np.bincount(degree, weights=mat.diagonal(), minlength=7)
+            assert [trace_ext_degree(word, m) for m in range(7)] == list(want)
+            seen += 1
+            for i in range(start, len(gens)):
+                g, m = gens[i]
+                stack.append((word + (g,), mat @ m, i + 1))
+        assert seen == 2 ** len(ALL_GENS)
+
     def test_sampled_other_words(self):
+        # seeded unreduced words, long enough to repeat generators often
         rng = random.Random(529)
-        for _ in range(200):
-            word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(1, 7)))
+        for _ in range(300):
+            word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(1, 10)))
             got = [trace_ext_degree(word, m) for m in range(7)]
             assert got == [ext_degree_trace(word, m) for m in range(7)]
 
