@@ -1,6 +1,6 @@
 """Exact engine for boundary contributions to the noncommutative residue.
 
-Layers, bottom to top (numpy is used by the oracle only):
+Layers, bottom to top, on the standard library only:
 
 * :mod:`wresbd.ring` -- exact Gaussian-rational scalars and sphere moments;
 * :mod:`wresbd.clifford` -- Clifford/endomorphism words, normal form,
@@ -15,8 +15,8 @@ Layers, bottom to top (numpy is used by the oracle only):
   the only home of the spin and exterior representation matrices;
 * :mod:`wresbd.ledger` / :mod:`wresbd.cli` -- verification reports.
 
-Importing the package and running the exact engine never loads numpy:
-the oracle and ledger names are imported on first use.
+Importing the package loads neither the ledger nor the oracle: their
+names are imported on first use.
 """
 
 import importlib

@@ -5,9 +5,13 @@ bypasses the exact engine's algebraic rules at each stage where the
 engine does something nontrivial:
 
 * Clifford products and traces: literal representation matrices
-  (8x8 spin / 64x64 exterior) instead of the normal form and trace rule;
-* twisting endomorphisms: concrete random matrices on a model fibre,
-  so endomorphism trace symbols become plain numbers;
+  (8x8 spin / 64x64 exterior) instead of the normal form and trace rule.
+  Each generator has one entry, +-1 or +-i, per column, so a matrix is
+  held as (perm, phase), M e_s = phase[s] e_perm[s], and its products
+  and traces are exact Gaussian integers;
+* twisting endomorphisms: concrete random matrices on a model fibre, the
+  draws of numpy's ``default_rng(seed)`` (SeedSequence, then PCG64),
+  reproduced here, so endomorphism trace symbols become plain numbers;
 * the sphere integral: the Gamma-function moment formula instead of
   the engine's double-factorial moment table;
 * the xi_n line integral: the midpoint rule in theta = arctan(xi_n),
@@ -27,12 +31,12 @@ The factor symbols come from the engine's own ``case_factor_pairs``, so
 a fault in the catalog, pi+, the restriction, d/dx_n or d/dxi_n reaches
 both sides unseen (see the fault-injection tests).  Agreement checks the
 trace, line-integral, sphere-integral and prefactor stages end to end.
+Beyond those symbols the oracle reads only names from the engine: the
+generator check, the fibre dimensions and the XI symbols.
 """
 
 import math
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, reduce
 
 from .boundary import case_factor_pairs
 from .catalog import FAMILIES
@@ -45,6 +49,91 @@ __all__ = ["OracleAssignment", "oracle_case", "rep_matrix", "word_matrix",
 _ALL_ENDO_FAMS = ("sigmaF", "Phi", "PhiStar", "sigmaFe", "w", "wStar")
 
 
+# -- numpy's default_rng, reproduced -----------------------------------------
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed):
+    """numpy's SeedSequence(seed).generate_state(4, uint64) for an int seed."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _M32]  # 32-bit words, least significant first
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class default_rng:
+    """numpy.random.default_rng(seed) for the draws the oracle makes.
+
+    PCG64 (O'Neill, HMC-CS-2014-0905, 2014): a 128-bit LCG seeded by
+    ``srandom`` from the SeedSequence state, each step output by XSL-RR.
+    """
+
+    def __init__(self, seed):
+        s0, s1, i0, i1 = _seed_state(seed)
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        # srandom: one step from 0 gives inc, then add the state and step
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT
+                       + self._inc) & _M128
+
+    def _next64(self):
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def uniform(self, low, high, size=None):
+        """One float in [low, high), or a list of lists of shape size."""
+        span = high - low
+        if size is None:
+            return low + span * ((self._next64() >> 11) * 2.0 ** -53)
+        rows, cols = size
+        return [[self.uniform(low, high) for _ in range(cols)]
+                for _ in range(rows)]
+
+    def integers(self, low, high):
+        """One int in [low, high), for high - low == 2 only.
+
+        Lemire's method on the low 32 bits of one u64.  Its rejection
+        threshold, (2**32 - 2) mod 2, is 0, so it never rejects.  numpy
+        keeps the high half for the next 32-bit draw; the oracle makes
+        none, so it is dropped here.
+        """
+        if high - low != 2:
+            raise ValueError("only a range of two integers is reproduced")
+        return low + ((self._next64() & _M32) * 2 >> 32)
+
+
 class OracleAssignment:
     """Seeded numeric values for every free symbol of the computation.
 
@@ -55,10 +144,10 @@ class OracleAssignment:
     """
 
     def __init__(self, seed):
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         self.seed = seed
-        self.h1 = float(rng.uniform(0.5, 2.0))
-        self.dimf = int(rng.integers(1, 3))
+        self.h1 = rng.uniform(0.5, 2.0)
+        self.dimf = rng.integers(1, 3)
         self.endos = {
             (fam, j): rng.uniform(-1.0, 1.0, (self.dimf, self.dimf))
             for fam in _ALL_ENDO_FAMS for j in range(1, 7)
@@ -72,85 +161,79 @@ class OracleAssignment:
             "SH": 1.0,
         }
         for (fam, j), m in self.endos.items():
-            env["T:%s:%d" % (fam, j)] = float(np.trace(m))
+            env["T:%s:%d" % (fam, j)] = sum(m[i][i] for i in range(self.dimf))
         self.env = env
 
     def endo_trace(self, word):
         """Numeric fibre trace of a product of endomorphism symbols."""
         if not word:
             return float(self.dimf)
-        m = np.eye(self.dimf)
-        for fam, j in word:
-            m = m @ self.endos[(fam, j)]
-        return float(np.trace(m))
+        m = self.endos[word[0]]
+        for key in word[1:]:
+            m = [[sum(a * b for a, b in zip(row, col))
+                  for col in zip(*self.endos[key])] for row in m]
+        return sum(m[i][i] for i in range(self.dimf))
 
 
-# -- representation matrices -----------------------------------------------
+# -- representation matrices, as (perm, phase) --------------------------------
 
-_PAULI1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI3 = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-
-
-@lru_cache(maxsize=None)
-def _spin_gens():
-    gens = []
-    for k in range(3):
-        for pauli in (_PAULI1, _PAULI2):
-            mats = [_PAULI3] * k + [1j * pauli] + [_ID2] * (2 - k)
-            m = mats[0]
-            for x in mats[1:]:
-                m = np.kron(m, x)
-            gens.append(m)
-    return tuple(gens)
+def _kron(a, b):
+    (pa, fa), (pb, fb) = a, b
+    n = len(pb)
+    return (tuple(i * n + j for i in pa for j in pb),
+            tuple(x * y for x in fa for y in fb))
 
 
-@lru_cache(maxsize=None)
-def _ext_gens():
-    """c(e_j) = wedge - contraction, hat-c(e_j) = wedge + contraction (real)."""
-    cs, chs = [], []
-    for j in range(6):
-        eps = np.zeros((EXT_DIM, EXT_DIM))
-        iot = np.zeros((EXT_DIM, EXT_DIM))
-        for s in range(EXT_DIM):
-            if not s & (1 << j):
-                sign = (-1) ** bin(s & ((1 << j) - 1)).count("1")
-                eps[s | (1 << j), s] = sign
-                iot[s, s | (1 << j)] = sign
-        cs.append(eps - iot)
-        chs.append(eps + iot)
-    return tuple(cs), tuple(chs)
+def _mul(a, b):
+    (pa, fa), (pb, fb) = a, b
+    return tuple(pa[t] for t in pb), tuple(fa[t] * f for t, f in zip(pb, fb))
+
+
+def _ext_gen(j, hat):
+    """c(e_j) = wedge - contraction, hat-c(e_j) = wedge + contraction."""
+    bit = 1 << j - 1
+    # the sign of moving e_j past the basis vectors of S below it; c(e_j)
+    # negates it on the forms that hold e_j, which it contracts
+    sign = [(-1) ** (s & bit - 1).bit_count() for s in range(EXT_DIM)]
+    return (tuple(s ^ bit for s in range(EXT_DIM)),
+            tuple(-x if s & bit and not hat else x
+                  for s, x in enumerate(sign)))
+
+
+# spin: c(e_(2k+1)), c(e_(2k+2)) = sigma_3^(x k) x i sigma_(1,2) x I^(x 2-k)
+_PAULI3, _ID2 = ((0, 1), (1, -1)), ((0, 1), (1, 1))
+_I_PAULI = (((1, 0), (1j, 1j)), ((1, 0), (-1, 1)))  # i sigma_1, i sigma_2
+_GENS = {
+    "spin": {("C", 2 * k + n + 1):
+             reduce(_kron, [_PAULI3] * k + [p] + [_ID2] * (2 - k))
+             for k in range(3) for n, p in enumerate(_I_PAULI)},
+    "ext": {(kind, j): _ext_gen(j, kind == "CH")
+            for kind in ("C", "CH") for j in range(1, 7)},
+}
 
 
 def rep_matrix(gen, rep):
-    """Matrix of one generator: rep is 'spin' (8x8) or 'ext' (64x64)."""
+    """(perm, phase) of one generator: rep is 'spin' (8x8) or 'ext' (64x64)."""
     _check_gen(gen)
-    kind, j = gen
-    if rep == "spin":
-        if kind == "CH":
-            raise ValueError("CH generators have no spin representation")
-        return _spin_gens()[j - 1]
-    if rep == "ext":
-        cs, chs = _ext_gens()
-        return cs[j - 1] if kind == "C" else chs[j - 1]
-    raise ValueError("unknown representation %r" % (rep,))
+    if rep not in _GENS:
+        raise ValueError("unknown representation %r" % (rep,))
+    if gen not in _GENS[rep]:
+        raise ValueError("CH generators have no spin representation")
+    return _GENS[rep][gen]
 
 
 def word_matrix(word, rep):
-    """Matrix of a generator word, multiplied out left to right."""
+    """(perm, phase) of a generator word, multiplied out left to right."""
     dim = SPIN_DIM if rep == "spin" else EXT_DIM
-    m = np.eye(dim)
-    for g in word:
-        m = m @ rep_matrix(g, rep)
-    return m
+    return reduce(_mul, (rep_matrix(g, rep) for g in word),
+                  (tuple(range(dim)), (1,) * dim))
 
 
 def ext_degree_trace(word, degree):
     """Trace of a word's exterior matrix restricted to forms of one degree."""
-    m = word_matrix(word, "ext")
-    idx = [s for s in range(EXT_DIM) if bin(s).count("1") == degree]
-    return complex(m[idx, idx].sum())
+    perm, phase = word_matrix(word, "ext")
+    return complex(sum(phase[s] for s in range(EXT_DIM)
+                       if perm[s] == s and s.bit_count() == degree))
 
 
 # only reduced words (CliffordElement term keys) reach this cache
@@ -158,52 +241,52 @@ _wmat = lru_cache(maxsize=None)(word_matrix)
 
 
 # Gamma((a+1)/2) for even a (zero for odd a) and Gamma((s+5)/2), indexed by
-# XI exponent a and exponent sum s; see _moments.  The products of the two
+# XI exponent a and exponent sum s; see _moment.  The products of the two
 # ledgers reach XI exponent 6.
 _MAX_XI_EXP = 48
-_HALF_GAMMA = np.array([math.gamma((a + 1) / 2.0) if a % 2 == 0 else 0.0
-                        for a in range(_MAX_XI_EXP + 1)])
-_SUM_GAMMA = np.array([math.gamma((s + 5) / 2.0)
-                       for s in range(5 * _MAX_XI_EXP + 1)])
+_HALF_GAMMA = [math.gamma((a + 1) / 2.0) if a % 2 == 0 else 0.0
+               for a in range(_MAX_XI_EXP + 1)]
+_SUM_GAMMA = [math.gamma((s + 5) / 2.0) for s in range(5 * _MAX_XI_EXP + 1)]
 _XI_INDEX = {sym: i for i, sym in enumerate(XI_SYMBOLS)}
 
 
-def _moments(exps):
-    """Sphere moments of integer XI-exponent rows (last axis XI1..XI5)."""
-    if exps.size and (exps.min() < 0 or exps.max() > _MAX_XI_EXP):
+def _moment(exps):
+    """Sphere moment of one row of integer exponents of XI1..XI5."""
+    if min(exps) < 0 or max(exps) > _MAX_XI_EXP:
         raise ValueError("XI exponent outside 0..%d" % _MAX_XI_EXP)
-    return (2.0 * _HALF_GAMMA[exps].prod(axis=-1)
-            / _SUM_GAMMA[exps.sum(axis=-1)])
+    return (2.0 * math.prod(_HALF_GAMMA[a] for a in exps)
+            / _SUM_GAMMA[sum(exps)])
 
 
 def _numeric_coeff(scalar, env):
-    """A Scalar as (XI-exponent rows, complex values), one row per term.
+    """A Scalar as [(XI exponents, complex value)], one row per term.
 
     Every symbol other than XI1..XI5 is looked up in `env`.
     """
-    exps = np.zeros((len(scalar.terms), 5), dtype=np.intp)
-    vals = np.empty(len(scalar.terms), dtype=complex)
-    for row, (mono, c) in enumerate(scalar.terms.items()):
-        v = c.value()
+    rows = []
+    for mono, c in scalar.terms.items():
+        exps, v = [0] * 5, c.value()
         for sym, e in mono:
             if sym in _XI_INDEX:
-                exps[row, _XI_INDEX[sym]] = e
+                exps[_XI_INDEX[sym]] = e
             else:
                 v *= env[sym] ** e
-        vals[row] = v
-    return exps, vals
+        rows.append((exps, v))
+    return rows
 
 
 def _sphere_product(first, second):
     """Integral over the unit 4-sphere of the product of two numeric coeffs."""
-    (e1, v1), (e2, v2) = first, second
-    return v1 @ _moments(e1[:, None, :] + e2[None, :, :]) @ v2
+    return sum(v1 * v2 * _moment([a + b for a, b in zip(e1, e2)])
+               for e1, v1 in first for e2, v2 in second)
 
 
 @lru_cache(maxsize=None)
 def _pair_trace(w1, w2, rep):
     """tr(M(w1) M(w2)), without forming the product."""
-    return complex((_wmat(w1, rep) * _wmat(w2, rep).T).sum())
+    (p1, f1), (p2, f2) = _wmat(w1, rep), _wmat(w2, rep)
+    return complex(sum(f1[t] * f for s, (t, f) in enumerate(zip(p2, f2))
+                       if p1[t] == s))
 
 
 def _numeric_terms(sym, env):
@@ -253,7 +336,7 @@ def quad(f):
     """Integral of f over the real line, and an error estimate.
 
     Substitutes x = tan(theta) and sums f(tan theta) sec^2(theta) at the
-    midpoints theta_k = -pi/2 + (k + 1/2) pi/N; f takes an array of nodes.
+    midpoints theta_k = -pi/2 + (k + 1/2) pi/N; f takes and returns lists.
     N starts at 8 and doubles until two successive sums agree to _QUAD_TOL
     of the sum of |summand|; the last difference is the error estimate.  The rule is
     exact on p(x) / ((x-i)^A (x+i)^B) with deg p <= A+B-2 once
@@ -264,11 +347,13 @@ def quad(f):
     """
     n, prev = 8, None
     while n <= _QUAD_MAX_NODES:
-        theta = (np.arange(n) + 0.5) * (np.pi / n) - np.pi / 2
-        summand = f(np.tan(theta)) / np.cos(theta) ** 2 * (np.pi / n)
-        total = complex(summand.sum())
+        step = math.pi / n
+        theta = [(k + 0.5) * step - math.pi / 2 for k in range(n)]
+        values = f([math.tan(t) for t in theta])
+        summand = [v / math.cos(t) ** 2 * step for v, t in zip(values, theta)]
+        total = complex(sum(summand))
         if prev is not None and (abs(total - prev)
-                                 <= _QUAD_TOL * np.abs(summand).sum()):
+                                 <= _QUAD_TOL * sum(map(abs, summand))):
             return total, abs(total - prev)
         n, prev = 2 * n, total
     raise ArithmeticError("midpoint rule unconverged at %d nodes"
@@ -278,10 +363,10 @@ def quad(f):
 def _line_integral_numeric(poly, key):
     """Midpoint-rule integral of poly(xi_n) / ((xi_n-i)^A (xi_n+i)^B)."""
     a_pow, b_pow = key
-    coeffs = list(reversed(poly))  # np.polyval convention
 
-    def f(x):
-        return np.polyval(coeffs, x) / ((x - 1j) ** a_pow * (x + 1j) ** b_pow)
+    def f(xs):  # Horner's rule, from the highest degree
+        return [reduce(lambda num, c: num * x + c, reversed(poly), 0j)
+                / ((x - 1j) ** a_pow * (x + 1j) ** b_pow) for x in xs]
 
     return quad(f)[0]
 

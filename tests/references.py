@@ -16,6 +16,8 @@
   x_0 to first order, and the terms of one degree in the covariables.
 * ``sphere_moment_numeric`` -- one Gamma-function sphere moment, from the
   oracle's moment table.
+* ``dense`` -- a numpy array of one of the oracle's (perm, phase)
+  representation matrices.
 * ``equals`` -- exact equality of two symbols as rational functions.
 * ``invert_cubed`` -- the inverse-cube symbols from the generic composition
   recursion, which cross-checks the catalog's parametrix step.
@@ -32,7 +34,7 @@ import numpy as np
 
 from wresbd.catalog import _i_c_xi, cubed_sigma
 from wresbd.clifford import CliffordElement
-from wresbd.oracle import _moments
+from wresbd.oracle import _moment
 from wresbd.refdata import PUBLISHED
 from wresbd.ring import XI_SYMBOLS, GRat, Scalar, _normalize_mono
 from wresbd.symbols import (RationalSymbol, _poly_add, _poly_map, _poly_mul,
@@ -212,7 +214,17 @@ def sphere_moment_numeric(exps):
     zero if any exponent is odd, otherwise
     2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).
     """
-    return float(_moments(np.array(exps, dtype=np.intp)))
+    return _moment(exps)
+
+
+def dense(m):
+    """The dense matrix of a monomial (perm, phase): column s holds
+    phase[s] in row perm[s]."""
+    perm, phase = m
+    phase = np.asarray(phase)  # integer for the exterior generators
+    out = np.zeros((len(perm), len(perm)), dtype=phase.dtype)
+    out[list(perm), range(len(perm))] = phase
+    return out
 
 
 def invert_cubed(family):

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from references import (equal_on_sphere, equals, evaluate_symbol,
+from references import (dense, equal_on_sphere, equals, evaluate_symbol,
                         invert_cubed, paper_form, paper_value, pi_minus)
 from test_symbols import _quad_complex, random_restricted
 from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
@@ -62,14 +62,14 @@ class TestAlgebraSuite:
         # pair (mixed kinds included) anticommutes
         import numpy as np
         for g in ALL_GENS:
-            a = rep_matrix(g, "ext")
+            a = dense(rep_matrix(g, "ext"))
             square = 1 if g[0] == "CH" else -1
             assert normal_form((g, g)) == (square, ())
             assert np.allclose(a @ a, square * np.eye(a.shape[0]))
             for h in ALL_GENS:
                 if g == h:
                     continue
-                b = rep_matrix(h, "ext")
+                b = dense(rep_matrix(h, "ext"))
                 assert (CE.word((g, h)) + CE.word((h, g))).is_zero()
                 assert np.allclose(a @ b + b @ a, 0)
         env = {"DIMF": 1.0}
@@ -78,7 +78,7 @@ class TestAlgebraSuite:
         for n in range(5):
             for word in itertools.product(C_GENS, repeat=n):
                 sym = trace_spin(CE.word(word)).evaluate(env)
-                mat = word_matrix(word, "spin").trace()
+                mat = dense(word_matrix(word, "spin")).trace()
                 assert abs(sym - mat) < 1e-9
                 if n:
                     rot = word[1:] + word[:1]
@@ -87,7 +87,7 @@ class TestAlgebraSuite:
         for n in range(5):
             for word in itertools.product(ALL_GENS, repeat=n):
                 sym = trace_ext(CE.word(word)).evaluate(env)
-                mat = word_matrix(word, "ext").trace()
+                mat = dense(word_matrix(word, "ext")).trace()
                 assert abs(sym - mat) < 1e-9
                 if n:
                     rot = word[1:] + word[:1]
@@ -218,17 +218,6 @@ _REQUIRED_IDS = {
 }
 
 
-def _split_oracle(report):
-    """A JSON report without its oracle values, and those values in order."""
-    data = json.loads(report)
-    rows = [row for e in data["entries"] for row in e["seeds"]]
-    values = [complex(row["oracle"]["re"], row["oracle"]["im"])
-              for row in rows]
-    for row in rows:
-        del row["oracle"]
-    return data, values
-
-
 class TestFullLedgers:
     def test_both_families_three_seeds(self):
         start = time.monotonic()
@@ -245,16 +234,23 @@ class TestFullLedgers:
             # `wresbd verify --family F --seeds 1,2,3 --format text`
             golden = DATA / ("report_%s.txt" % fam)
             assert text == golden.read_text(encoding="utf-8")
-            # and to the committed `--format json` report: every key,
-            # string, flag and exact float equal, each oracle value within
-            # 1e-13 of its modulus
-            got, got_oracle = _split_oracle(render_json(ledger))
-            want, want_oracle = _split_oracle(
-                (DATA / ("report_%s.json" % fam)).read_text(encoding="utf-8"))
-            assert got == want
-            assert len(got_oracle) == len(want_oracle)
-            for g, w in zip(got_oracle, want_oracle):
-                assert abs(g - w) <= 1e-13 * abs(w), (g, w)
+            # and to the committed `--format json` report: each oracle
+            # value within 1e-13 of its modulus of the committed one, and,
+            # with the committed oracle values written in, byte for byte
+            golden = (DATA / ("report_%s.json" % fam)).read_text(
+                encoding="utf-8")
+            want = {(e["id"], e["case"], e["block"]): e["seeds"]
+                    for e in json.loads(golden)["entries"]}
+            assert len(want) == len(ledger["entries"])
+            for e in ledger["entries"]:
+                for row, wrow in zip(e["seeds"],
+                                     want[e["id"], e["case"], e["block"]],
+                                     strict=True):
+                    g = complex(row["oracle"]["re"], row["oracle"]["im"])
+                    w = complex(wrow["oracle"]["re"], wrow["oracle"]["im"])
+                    assert abs(g - w) <= 1e-13 * abs(w), (g, w)
+                    row["oracle"] = wrow["oracle"]
+            assert render_json(ledger) == golden
             # totals appear side by side: engine total, published total,
             # and the mean-curvature (theorem) form after substitution
             total_id, theorem_id = (("(3.65)", "(3.67)")

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from references import normal_form_by_sort, reduce_unit_sphere
+from references import dense, normal_form_by_sort, reduce_unit_sphere
 from wresbd.clifford import (
     EXT_DIM,
     SPIN_DIM,
@@ -28,7 +28,7 @@ C_GENS = ALL_GENS[:6]
 
 class TestMatrixRelations:
     def test_spin_relations(self):
-        gens = [rep_matrix(g, "spin") for g in C_GENS]
+        gens = [dense(rep_matrix(g, "spin")) for g in C_GENS]
         eye = np.eye(SPIN_DIM)
         for i, a in enumerate(gens):
             assert np.allclose(a @ a, -eye)
@@ -36,8 +36,8 @@ class TestMatrixRelations:
                 assert np.allclose(a @ b + b @ a, 0)
 
     def test_ext_relations(self):
-        cs = [rep_matrix(("C", j), "ext") for j in range(1, 7)]
-        chs = [rep_matrix(("CH", j), "ext") for j in range(1, 7)]
+        cs = [dense(rep_matrix(("C", j), "ext")) for j in range(1, 7)]
+        chs = [dense(rep_matrix(("CH", j), "ext")) for j in range(1, 7)]
         eye = np.eye(EXT_DIM)
         for i in range(6):
             assert np.allclose(cs[i] @ cs[i], -eye)
@@ -79,8 +79,8 @@ class TestNormalForm:
         for _ in range(150):
             word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(1, 5)))
             sign, w = normal_form(word)
-            assert np.allclose(word_matrix(word, "ext"),
-                               sign * word_matrix(w, "ext"))
+            assert np.allclose(dense(word_matrix(word, "ext")),
+                               sign * dense(word_matrix(w, "ext")))
 
     def test_matches_insertion_sort(self):
         # all 22,621 words of length <= 4 over the 12 generators, then
@@ -128,14 +128,14 @@ class TestTraces:
         for n in range(4):
             for word in itertools.product(C_GENS, repeat=n):
                 sym = trace_spin(CE.word(word)).evaluate(env)
-                mat = word_matrix(word, "spin").trace()
+                mat = dense(word_matrix(word, "spin")).trace()
                 assert abs(sym - mat) < 1e-9
 
     def test_symbolic_vs_matrix_ext_sampled(self):
         # every one of the 4096 reduced words, each matrix built from its
         # prefix's with one product, walked depth first
         env = {"DIMF": 1.0}
-        gens = [(g, rep_matrix(g, "ext")) for g in ALL_GENS]
+        gens = [(g, dense(rep_matrix(g, "ext"))) for g in ALL_GENS]
         seen = 0
         stack = [((), np.eye(EXT_DIM), 0)]
         while stack:
@@ -268,7 +268,7 @@ class TestExactDegreewiseTrace:
         # one product, walked depth first; the diagonal of a word's matrix
         # summed over the forms of one degree is ext_degree_trace's value
         degree = [bin(s).count("1") for s in range(EXT_DIM)]
-        gens = [(g, rep_matrix(g, "ext")) for g in ALL_GENS]
+        gens = [(g, dense(rep_matrix(g, "ext"))) for g in ALL_GENS]
         seen = 0
         stack = [((), np.eye(EXT_DIM), 0)]
         while stack:

@@ -1,13 +1,14 @@
-"""Layering: the exact engine runs without numpy, and nothing uses scipy.
+"""Layering: the program uses the standard library only.
 
 Parses each module and follows its imports inside the package, so a
-numeric dependency pulled in through another module also counts; and
-runs the engine in a fresh interpreter to check that importing the
-package loads neither numpy nor scipy, and that the oracle loads numpy
-only.  Also checks that the command line reaches every module and that
-`wresbd verify` enters every module-level function, so code that only the
-tests use lives under tests/, that every name the benchmark's tracer
-hooks still exists, and that no module imports a name it never uses.
+numeric dependency pulled in through another module also counts; runs
+`wresbd verify` in a fresh interpreter to check that it loads neither
+numpy nor scipy; and checks that importing the package loads neither the
+ledger nor the oracle.  Also checks that the command line reaches every
+module and that `wresbd verify` enters every module-level function, so
+code that only the tests use lives under tests/, that every name the
+benchmark's tracer hooks still exists, and that no module imports a name
+it never uses.
 """
 
 import ast
@@ -64,15 +65,6 @@ def test_engine_module_is_numpy_free(module):
     assert not _reachable(module)[1] & NUMERIC
 
 
-def test_oracle_is_where_numpy_lives():
-    # guards the check itself: the parser does see the oracle's imports
-    assert "numpy" in _reachable("oracle")[1]
-    modules = sorted(p.stem for p in PKG.glob("*.py"))
-    assert "oracle" in modules
-    for module in modules:
-        assert "scipy" not in _reachable(module)[1], module
-
-
 def _run_python(code):
     """Standard output of `code` run in a fresh interpreter on the package."""
     env = dict(os.environ)
@@ -84,11 +76,10 @@ def _run_python(code):
 
 
 # verify once per family, text and JSON, recording every code object
-# entered from the package's import on; numpy loads first, unrecorded
+# entered from the package's import on
 _VERIFY_ENTERED = """
 import contextlib, io, json, sys
 from pathlib import Path
-import numpy
 entered = set()
 sys.setprofile(lambda frame, event, arg:
                event == "call" and entered.add(frame.f_code))
@@ -128,23 +119,32 @@ def test_cli_reaches_every_module():
     assert functions - set(entered) <= _NOT_RUN_BY_VERIFY
 
 
-def test_package_and_engine_leave_numpy_and_scipy_unloaded():
-    # the oracle and ledger names are still reachable from the package,
-    # and reaching one loads numpy but not scipy
-    code = ("import sys, wresbd\n"
-            "wresbd.assemble('dirac')\n"
-            "print(sorted(m for m in %r if m in sys.modules))\n"
-            "wresbd.build_ledger\n"
-            "print(sorted(m for m in %r if m in sys.modules))\n"
-            % (sorted(NUMERIC), sorted(NUMERIC)))
-    assert _run_python(code).split() == ["[]", "['numpy']"]
+# verify for both families, then the numeric packages that were loaded
+_VERIFY_LOADED = """
+import contextlib, io, json, sys
+from wresbd import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify", "--family", family, "--seeds", "1"])
+             for family in ("dirac", "signature")]
+print(json.dumps([codes, sorted(m for m in %r if m in sys.modules)]))
+""" % sorted(NUMERIC)
 
 
-# the package's lazy names, resolved in a fresh interpreter
+def test_program_leaves_numpy_and_scipy_unloaded():
+    # guards the parse: it does see the oracle's standard-library imports
+    assert "math" in _reachable("oracle")[1]
+    for module in sorted(p.stem for p in PKG.glob("*.py")):
+        assert not _reachable(module)[1] & NUMERIC, module
+    assert json.loads(_run_python(_VERIFY_LOADED)) == [[0, 0], []]
+
+
+# the package's lazy names, resolved in a fresh interpreter; the modules
+# behind them, loaded before and after
 _LAZY_RESOLVED = """
 import importlib, json, sys
 import wresbd
-loaded_at_import = "numpy" in sys.modules
+LAZY_MODULES = ("wresbd.ledger", "wresbd.oracle")
+loaded_at_import = [m for m in LAZY_MODULES if m in sys.modules]
 same = {name: getattr(wresbd, name)
         is getattr(importlib.import_module("wresbd." + module), name)
         for name, module in wresbd._LAZY.items()}
@@ -153,7 +153,8 @@ try:
     error = None
 except AttributeError as exc:
     error = str(exc)
-print(json.dumps([loaded_at_import, same, "numpy" in sys.modules, error]))
+print(json.dumps([loaded_at_import, same,
+                  [m for m in LAZY_MODULES if m in sys.modules], error]))
 """
 
 
@@ -162,7 +163,7 @@ def test_lazy_package_names_resolve_on_first_use():
     # package itself; every name in __all__ that the package does not bind
     # at import is one of them
     before, same, after, error = json.loads(_run_python(_LAZY_RESOLVED))
-    assert before is False and after is True
+    assert before == [] and after == ["wresbd.ledger", "wresbd.oracle"]
     assert set(same) == set(wresbd.__all__) - set(vars(wresbd))
     assert all(same.values()), same
     assert "'no_such_name'" in error

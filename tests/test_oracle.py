@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from references import sphere_moment_numeric
+from references import dense, sphere_moment_numeric
 from wresbd import ring
 from wresbd.boundary import (CASES, assemble, case_factor_pairs,
                              evaluate_case)
 from wresbd.catalog import FAMILIES
-from wresbd.oracle import (OracleAssignment, _moments, _numeric_coeff,
-                           _pair_integrand_polys, _pair_trace,
-                           _sphere_product, oracle_case, quad, rep_matrix,
-                           word_matrix)
+from wresbd.oracle import (_MAX_XI_EXP, OracleAssignment, _moment,
+                           _numeric_coeff, _pair_integrand_polys,
+                           _pair_trace, _sphere_product, default_rng,
+                           oracle_case, quad, rep_matrix, word_matrix)
 from wresbd.ring import GRat, Scalar, sphere_integrate, sphere_moment
 
 OMEGA4 = 8.0 * math.pi ** 2 / 3.0
@@ -58,11 +58,90 @@ def test_numeric_sphere_integral_matches_exact():
             assert _close(got, exact, 1e-12), (s1, s2)
 
 
-@pytest.mark.parametrize("exps", [(-2, 0, 0, 0, 0), (0, 0, 0, 0, 50)])
+@pytest.mark.parametrize("exps", [
+    (-2, 0, 0, 0, 0), (0, 0, 0, 0, 50),
+    # one past either end of the range, in each position
+    *(tuple(bad if i == pos else 0 for i in range(5))
+      for bad in (-1, _MAX_XI_EXP + 1) for pos in range(5))])
 def test_moment_table_range_is_checked(exps):
     # a negative index must not wrap round to the end of the table
     with pytest.raises(ValueError):
-        _moments(np.array(exps))
+        _moment(exps)
+
+
+def test_moment_tables_reach_the_top_row():
+    # the largest row the range check admits reads both tables' last entries
+    top = [_MAX_XI_EXP] * 5
+    want = float(sphere_moment(top)) * OMEGA4
+    assert abs(_moment(top) - want) <= 1e-12 * want
+
+
+def test_moment_matches_the_exact_table():
+    rows = 0
+    for exps in itertools.product(range(13), repeat=5):
+        if sum(exps) > 12:
+            continue
+        want = float(sphere_moment(exps)) * OMEGA4
+        assert abs(_moment(exps) - want) <= 1e-14 * abs(want), exps
+        rows += 1
+    assert rows == math.comb(17, 5)
+
+
+# the seeds of the generator check: a range, seeds of two 32-bit words, and
+# one of five, which SeedSequence mixes in after its 4-word pool
+_RNG_SEEDS = [*range(200), 2 ** 32 + 5, 2 ** 40, 12345678901234567,
+              2 ** 130 + 7]
+
+
+def test_generator_matches_numpy_stream():
+    # the draws OracleAssignment makes, in its order, equal bit for bit
+    for seed in _RNG_SEEDS:
+        want, got = np.random.default_rng(seed), default_rng(seed)
+        assert got.uniform(0.5, 2.0) == want.uniform(0.5, 2.0), seed
+        dimf = got.integers(1, 3)
+        assert dimf == want.integers(1, 3), seed
+        for _ in range(36):
+            assert (got.uniform(-1.0, 1.0, (dimf, dimf))
+                    == want.uniform(-1.0, 1.0, (dimf, dimf)).tolist()), seed
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        OracleAssignment(-1)
+
+
+def _dense_generators():
+    """The generators built densely: Pauli Kronecker products for spin,
+    sigma_3^k x i sigma_{1,2} x I^(2-k), and wedge -+ contraction on the
+    exterior algebra of R^6, basis e_S indexed by the bitmask of S."""
+    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
+    gens = {}
+    for k in range(3):
+        for n, s in enumerate((s1, s2)):
+            m = np.eye(1, dtype=complex)
+            for f in [s3] * k + [1j * s] + [np.eye(2)] * (2 - k):
+                m = np.kron(m, f)
+            gens[("C", 2 * k + n + 1), "spin"] = m
+    for j in range(6):
+        bit = 1 << j
+        wedge = np.zeros((64, 64), dtype=complex)
+        for s in range(64):
+            if not s & bit:
+                wedge[s | bit, s] = (-1) ** bin(s & (bit - 1)).count("1")
+        gens[("C", j + 1), "ext"] = wedge - wedge.T
+        gens[("CH", j + 1), "ext"] = wedge + wedge.T
+    return gens
+
+
+def test_monomial_generators_match_dense_ones():
+    gens = _dense_generators()
+    assert len(gens) == 18
+    for (g, rep), m in gens.items():
+        assert np.array_equal(dense(rep_matrix(g, rep)), m), (g, rep)
 
 
 @pytest.mark.parametrize("gen, rep, match", [
@@ -83,7 +162,8 @@ def test_pair_trace_matches_matrix_product(rep, kinds):
         w1, w2 = (tuple(gens[i] for i in sorted(rng.choice(len(gens), n,
                                                            replace=False)))
                   for n in rng.integers(0, 5, size=2))
-        want = np.trace(word_matrix(w1, rep) @ word_matrix(w2, rep))
+        want = np.trace(dense(word_matrix(w1, rep))
+                        @ dense(word_matrix(w2, rep)))
         assert abs(_pair_trace(w1, w2, rep) - want) <= 1e-12
 
 
@@ -92,7 +172,7 @@ def test_quad_closed_forms(k):
     # int dx / (1 + x^2)^k = pi (2k-3)!! / (2k-2)!!
     odd = math.prod(range(2 * k - 3, 0, -2))
     even = math.prod(range(2 * k - 2, 0, -2))
-    val, err = quad(lambda x: 1.0 / (1.0 + x * x) ** k)
+    val, err = quad(lambda xs: [1.0 / (1.0 + x * x) ** k for x in xs])
     assert abs(val - math.pi * odd / even) <= 1e-14
     assert err <= 1e-13
 
@@ -111,14 +191,14 @@ def test_quad_matches_scipy_on_random_rationals():
 
         ref, _ = scipy_quad(f, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13,
                             limit=400, complex_func=True)
-        got, _ = quad(f)
+        got, _ = quad(lambda xs: [f(x) for x in xs])
         assert abs(got - ref) <= 1e-13 * np.abs(coeffs).max(), (
             a_pow, b_pow, deg)
 
 
 def test_quad_rejects_a_nonintegrable_integrand():
     with pytest.raises(ArithmeticError):
-        quad(np.ones_like)
+        quad(lambda xs: [1.0] * len(xs))
 
 
 def test_integrand_does_not_multiply_scalars(monkeypatch):
