@@ -2,8 +2,8 @@
 
 Parses each module and follows its imports inside the package, so a
 numeric dependency pulled in through another module also counts; runs
-`wresbd verify` in a fresh interpreter to check that it loads neither
-numpy nor scipy; and checks that importing the package loads neither the
+the package and `wresbd verify` in a fresh interpreter to check that
+they load neither numpy nor scipy; and checks that importing the package loads neither the
 ledger nor the oracle.  Also checks that the command line reaches every
 module and that `wresbd verify` enters every module-level function, so
 code that only the tests use lives under tests/, that every name the
@@ -119,23 +119,39 @@ def test_cli_reaches_every_module():
     assert functions - set(entered) <= _NOT_RUN_BY_VERIFY
 
 
-# verify for both families, then the numeric packages that were loaded
+def test_oracle_is_where_numpy_lives():
+    # numpy's generator lives on in the oracle, as a standard-library copy
+    # of default_rng; guards the parse: it does see the oracle's imports
+    assert "math" in _reachable("oracle")[1]
+    modules = sorted(p.stem for p in PKG.glob("*.py"))
+    assert [m for m in modules
+            if any(isinstance(node, ast.ClassDef) and node.name == "default_rng"
+                   for node in ast.parse((PKG / ("%s.py" % m)).read_text()).body)
+            ] == ["oracle"]
+    for module in modules:
+        assert not _reachable(module)[1] & NUMERIC, module
+
+
+# the numeric packages loaded after importing the package and assembling,
+# after reaching the lazy ledger name, and after verify for both families
 _VERIFY_LOADED = """
 import contextlib, io, json, sys
+import wresbd
 from wresbd import cli
+loaded = lambda: sorted(m for m in %r if m in sys.modules)
+wresbd.assemble("dirac")
+at_import = loaded()
+wresbd.build_ledger
+at_ledger = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["verify", "--family", family, "--seeds", "1"])
              for family in ("dirac", "signature")]
-print(json.dumps([codes, sorted(m for m in %r if m in sys.modules)]))
+print(json.dumps([at_import, at_ledger, codes, loaded()]))
 """ % sorted(NUMERIC)
 
 
-def test_program_leaves_numpy_and_scipy_unloaded():
-    # guards the parse: it does see the oracle's standard-library imports
-    assert "math" in _reachable("oracle")[1]
-    for module in sorted(p.stem for p in PKG.glob("*.py")):
-        assert not _reachable(module)[1] & NUMERIC, module
-    assert json.loads(_run_python(_VERIFY_LOADED)) == [[0, 0], []]
+def test_package_and_engine_leave_numpy_and_scipy_unloaded():
+    assert json.loads(_run_python(_VERIFY_LOADED)) == [[], [], [0, 0], []]
 
 
 # the package's lazy names, resolved in a fresh interpreter; the modules
