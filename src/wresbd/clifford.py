@@ -26,7 +26,7 @@ that check both rules live in the numeric oracle.
 from fractions import Fraction
 from math import comb
 
-from .ring import GRat, Scalar
+from .ring import GRat, Scalar, _add_term, _encode, _scalar
 
 __all__ = [
     "CliffordElement",
@@ -185,7 +185,17 @@ class CliffordElement:
                 c = c1 * c2
                 if sign < 0:
                     c = -c
-                self._add_term(out, (w, endo), c)
+                # c is a new Scalar, so the first one at a key takes later
+                # products in place
+                key = (w, endo)
+                v = out.get(key)
+                if v is None:
+                    out[key] = c
+                    continue
+                for m, x in c.terms.items():
+                    _add_term(v.terms, m, x)
+                if not v.terms:
+                    del out[key]
         r = CliffordElement.__new__(CliffordElement)
         r.terms = out
         return r
@@ -243,27 +253,29 @@ class CliffordElement:
         return "CliffordElement(%s)" % " + ".join(bits)
 
 
-def _endo_trace_scalar(endo):
+def _endo_trace_symbol(endo):
     if not endo:
-        return Scalar.sym("DIMF")
+        return "DIMF"
     if len(endo) == 1:
-        fam, j = endo[0]
-        return Scalar.sym("T:%s:%d" % (fam, j))
-    (f1, j1), (f2, j2) = endo
-    return Scalar.sym("T2:%s:%d:%s:%d" % (f1, j1, f2, j2))
+        return "T:%s:%d" % endo[0]
+    return "T2:%s:%d:%s:%d" % (endo[0] + endo[1])
 
 
 def _trace(elt, dim):
     """Trace over a dim-dimensional Clifford module tensored with F.
 
     With an even number of generators (6 spin, 12 exterior) every reduced
-    nonempty word anticommutes with some generator and is traceless.
+    nonempty word anticommutes with some generator and is traceless; each
+    empty-word term is scaled by dim times the trace of its endomorphisms,
+    a one-symbol monomial, so its packed key adds to each monomial.
     """
-    out = Scalar.zero()
+    out = {}
     for (w, endo), c in elt.terms.items():
         if not w:
-            out = out + c * dim * _endo_trace_scalar(endo)
-    return out
+            t = _encode([(_endo_trace_symbol(endo), 1)])
+            for m, x in c.terms.items():
+                _add_term(out, m + t, x * dim)
+    return _scalar(out)
 
 
 def trace_spin(elt):

@@ -186,8 +186,10 @@ def render_text(ledger):
 
 
 def _id_key(entry):
-    m = re.match(r"\((\d+)\.(\d+)\)", entry["id"])
-    return (int(m.group(1)), int(m.group(2))) if m else (99, 99)
+    m = re.fullmatch(r"\((\d+)\.(\d+)\)", entry["id"])
+    if m is None:
+        raise ValueError("malformed equation id %r" % (entry["id"],))
+    return int(m.group(1)), int(m.group(2))
 
 
 def render_json(ledger):

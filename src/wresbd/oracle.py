@@ -264,7 +264,7 @@ def _numeric_coeff(scalar, env):
     Every symbol other than XI1..XI5 is looked up in `env`.
     """
     rows = []
-    for mono, c in scalar.terms.items():
+    for mono, c in scalar.monomials():
         exps, v = [0] * 5, c.value()
         for sym, e in mono:
             if sym in _XI_INDEX:

@@ -15,10 +15,24 @@ fixed alphabet:
     T:fam:j   trace of a single endomorphism symbol (see clifford.py)
     T2:f1:j1:f2:j2  trace of an ordered product of two endomorphism symbols
 
+A monomial is one int, a packed exponent vector (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): each symbol owns a 16-bit field, the named symbols
+fields 0-10 and any other symbol the next free one on first use, so old
+monomials keep their meaning.  A field holds a signed exponent, |e| <
+2**15, so the empty monomial is 0 and a product of monomials is the sum
+of their ints.  Constructors reject an exponent outside its field and
+products add unchecked: assemble() and verify meet 47 symbols and no
+|exponent| above 6, sums over the fixed factors of the residue formula.
+A negative field borrows from the ones above it, so _exponent and
+_decode bias the fields before reading them.  Output decodes monomials
+in _sym_rank order, so the field order never shows.
+
 Everything downstream (Clifford elements, rational symbols) keeps its
 coefficients in this ring, so the whole pipeline is exact.
 """
 
+import sys
 from fractions import Fraction
 from math import fsum, gcd, lcm
 
@@ -82,13 +96,9 @@ class GRat:
     # an operand the ring cannot coerce goes to its own reflected method
     def __add__(self, other):
         try:
-            other = _coerce(other)
+            return _gadd(self, _coerce(other))
         except TypeError:
             return NotImplemented
-        d, e = self.d, other.d
-        if d == e:
-            return _grat(self.a + other.a, self.b + other.b, d)
-        return _grat(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
@@ -155,6 +165,13 @@ class GRat:
 GRat.I = GRat(0, 1)
 
 
+def _gadd(x, y):
+    d, e = x.d, y.d
+    if d == e:
+        return _grat(x.a + y.a, x.b + y.b, d)
+    return _grat(x.a * e + y.a * d, x.b * e + y.b * d, d * e)
+
+
 def _coerce(x):
     if isinstance(x, GRat):
         return x
@@ -175,41 +192,90 @@ def _coeff_str(c):
     return "(%s%s%s)" % (c.re, "" if ims.startswith("-") else "+", ims)
 
 
-def _mono_key(mono):
-    return tuple((_sym_rank(s), e) for s, e in mono)
+# -- packed monomials ---------------------------------------------------
+
+_W = 16                      # bits per field; _decode reads them as "H"
+_HALF = 1 << _W - 1          # an exponent e has |e| < _HALF
+_MASK = (1 << _W) - 1
+_NAMES = []                  # field k -> symbol
+_SHIFT = {}                  # symbol -> bit offset _W * k of its field
+_BIAS = [0]                  # _BIAS[k]: _HALF in each of the fields 0..k-1
 
 
-def _normalize_mono(pairs):
+def _shift(sym):
+    """The bit offset of sym's field, giving a new symbol the next field."""
+    s = _SHIFT.get(sym)
+    if s is None:
+        s = _SHIFT[sym] = _W * len(_NAMES)
+        _NAMES.append(sym)
+        _BIAS.append(_BIAS[-1] + (_HALF << s))
+    return s
+
+
+for _sym in _BASE_ORDER:
+    _shift(_sym)
+_NBASE = len(_NAMES)
+
+
+def _encode(pairs):
+    """The monomial of (symbol, exponent) pairs; a repeated symbol adds up,
+    and a sum outside the field raises ValueError instead of carrying."""
     acc = {}
     for s, e in pairs:
-        if e == 0:
-            continue
         acc[s] = acc.get(s, 0) + e
-    items = [(s, e) for s, e in acc.items() if e != 0]
-    items.sort(key=lambda p: _sym_rank(p[0]))
-    return tuple(items)
+    m = 0
+    for s, e in acc.items():
+        if not -_HALF < e < _HALF:
+            raise ValueError("exponent %d of %s leaves its %d-bit field"
+                             % (e, s, _W))
+        m += e << _shift(s)
+    return m
 
 
-def _mono_mul(m1, m2):
-    """Product of two normalised monomials, merged in _sym_rank order."""
-    out, i, j = [], 0, 0
-    while i < len(m1) and j < len(m2):
-        (s1, e1), (s2, e2) = m1[i], m2[j]
-        if s1 == s2:
-            i, j = i + 1, j + 1
-            if e1 + e2:
-                out.append((s1, e1 + e2))
-        elif _sym_rank(s1) < _sym_rank(s2):
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
+def _exponent(m, sym):
+    """The exponent of sym in m, read with every field up to sym's biased
+    to be non-negative, so that a negative lower field borrows nothing."""
+    s = _SHIFT.get(sym)
+    if s is None:
+        return 0
+    return ((m + _BIAS[s // _W + 1]) >> s & _MASK) - _HALF
+
+
+def _pair_rank(pair):
+    return _sym_rank(pair[0])
+
+
+def _decode(m):
+    """The (symbol, exponent) pairs of monomial m, in _sym_rank order."""
+    n = abs(m).bit_length() // _W + 1   # the fields up to the top nonzero one
+    digits = memoryview((m + _BIAS[n]).to_bytes(2 * n, sys.byteorder))
+    pairs = [(_NAMES[k], e - _HALF)
+             for k, e in enumerate(digits.cast("H")) if e != _HALF]
+    if n > _NBASE + 1:  # two trace fields are not in name order
+        pairs.sort(key=_pair_rank)
+    return tuple(pairs)
+
+
+def _scalar(terms):
+    """A Scalar over a dict of nonzero GRats, taken as it is."""
+    s = Scalar.__new__(Scalar)
+    s.terms = terms
+    return s
+
+
+def _add_term(out, m, c):
+    """out[m] += c, dropping a zero sum; c is a nonzero GRat."""
+    v = out.get(m)
+    v = c if v is None else _gadd(v, c)
+    if v:
+        out[m] = v
+    else:
+        del out[m]
 
 
 class Scalar:
-    """Exact polynomial over the coefficient alphabet with GRat coefficients."""
+    """Exact polynomial over the coefficient alphabet with GRat coefficients,
+    ``terms`` mapping each packed monomial to its nonzero coefficient."""
 
     __slots__ = ("terms",)
 
@@ -230,9 +296,7 @@ class Scalar:
     @classmethod
     def from_grat(cls, c):
         c = _coerce(c)
-        s = cls.__new__(cls)
-        s.terms = {(): c} if c else {}
-        return s
+        return _scalar({0: c} if c else {})
 
     @classmethod
     def one(cls):
@@ -248,7 +312,7 @@ class Scalar:
 
     @classmethod
     def sym(cls, name, exp=1, coeff=1):
-        return cls({_normalize_mono([(name, exp)]): _coerce(coeff)})
+        return cls({_encode([(name, exp)]): coeff})
 
     # -- ring operations ----------------------------------------------
 
@@ -260,22 +324,13 @@ class Scalar:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m)
-            v = c if v is None else v + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        s = Scalar.__new__(Scalar)
-        s.terms = out
-        return s
+            _add_term(out, m, c)
+        return _scalar(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        s = Scalar.__new__(Scalar)
-        s.terms = {m: -c for m, c in self.terms.items()}
-        return s
+        return _scalar({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -284,24 +339,18 @@ class Scalar:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        """Monomials multiply by int addition, coefficients on the GRat
+        integers."""
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                v = out.get(m)
-                v = c if v is None else v + c
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        s = Scalar.__new__(Scalar)
-        s.terms = out
-        return s
+        for m1, x in self.terms.items():
+            for m2, y in other.terms.items():
+                _add_term(out, m1 + m2, _grat(x.a * y.a - x.b * y.b,
+                                              x.a * y.b + x.b * y.a, x.d * y.d))
+        return _scalar(out)
 
     __rmul__ = __mul__
 
@@ -314,8 +363,8 @@ class Scalar:
 
     def __hash__(self):
         # a constant hashes as its coefficient, the zero Scalar as 0
-        if self.terms.keys() <= {()}:
-            return hash(self.terms.get((), 0))
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
@@ -329,6 +378,11 @@ class Scalar:
             return Scalar.from_grat(x)
         raise TypeError("cannot coerce %r to Scalar" % (x,))
 
+    def monomials(self):
+        """(pairs, coeff) per term, in the order of ``terms``; pairs are the
+        monomial's (symbol, exponent), in _sym_rank order."""
+        return [(_decode(m), c) for m, c in self.terms.items()]
+
     # -- calculus helpers ----------------------------------------------
 
     def d_xn(self):
@@ -337,13 +391,12 @@ class Scalar:
         Each power of SH carries half a unit of H1 (SH = sqrt(h), and
         h'(0) = H1 with h(0) = 1); every other symbol is constant in x_n.
         """
-        out = Scalar.zero()
+        out, h1 = {}, 1 << _SHIFT["H1"]
         for m, c in self.terms.items():
-            k = dict(m).get("SH", 0)
+            k = _exponent(m, "SH")
             if k:
-                out = out + Scalar({_mono_mul(m, (("H1", 1),)):
-                                    c * Fraction(k, 2)})
-        return out
+                _add_term(out, m + h1, _grat(c.a * k, c.b * k, c.d * 2))
+        return _scalar(out)
 
     def substitute(self, mapping):
         """Replace symbols by Scalars (other symbols pass through).
@@ -352,36 +405,42 @@ class Scalar:
         coefficient; only a non-constant one is multiplied in, so it may
         replace positive powers only (a negative one raises ValueError).
         """
-        reps = {s: Scalar._coerce(r) for s, r in mapping.items()}
-        out = Scalar.zero()
+        reps = []
+        for s, rep in sorted(mapping.items(), key=_pair_rank):
+            rep = Scalar._coerce(rep)
+            if s in _SHIFT:
+                k = (_coerce(rep.terms.get(0, 0))
+                     if rep.terms.keys() <= {0} else None)
+                reps.append((s, _SHIFT[s], rep, k))
+        out = {}
         for m, c in self.terms.items():
-            rest, factors = [], []
-            for s, e in m:
-                rep = reps.get(s)
-                if rep is None:
-                    rest.append((s, e))
-                elif rep.terms.keys() <= {()}:
-                    k = rep.terms.get((), 0)
-                    for _ in range(abs(e)):
-                        c = c * k if e > 0 else c / k
-                elif e < 0:
-                    raise ValueError("cannot substitute the non-constant %s "
-                                     "into %s**%d" % (rep, s, e))
-                else:
+            factors = []
+            for s, shift, rep, k in reps:
+                e = _exponent(m, s)
+                if not e:
+                    continue
+                m -= e << shift
+                if k is None:
+                    if e < 0:
+                        raise ValueError("cannot substitute the non-constant "
+                                         "%s into %s**%d" % (rep, s, e))
                     factors += [rep] * e
-            term = Scalar({tuple(rest): c})
+                elif k != 1:
+                    c = c * k ** e if e > 0 else c / k ** -e
+            term = Scalar({m: c})
             for rep in factors:
                 term = term * rep
-            out = out + term
-        return out
+            for m, c in term.terms.items():
+                _add_term(out, m, c)
+        return _scalar(out)
 
     def evaluate(self, assignment):
         """Numeric value given symbol -> number (must cover all symbols),
         summed by fsum, so independent of the order the terms were built in."""
         vals = []
-        for m, c in self.terms.items():
+        for pairs, c in self.monomials():
             v = c.value()
-            for s, e in m:
+            for s, e in pairs:
                 v *= assignment[s] ** e
             vals.append(v)
         return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
@@ -392,13 +451,12 @@ class Scalar:
         """Canonical text form, e.g. '-15/16*PI*H1*OMEGA4*DIMF'."""
         if not self.terms:
             return "0"
-        monos = sorted(self.terms, key=_mono_key)
         parts = []
-        for m in monos:
-            c = self.terms[m]
+        for pairs, c in sorted(self.monomials(), key=lambda t: [
+                (_sym_rank(s), e) for s, e in t[0]]):
             cs = _coeff_str(c)
             factors = []
-            for s, e in m:
+            for s, e in pairs:
                 factors.append(s if e == 1 else "%s**%d" % (s, e))
             if factors:
                 if cs == "1":
@@ -461,18 +519,12 @@ def sphere_integrate(s):
     XI-monomials are replaced by their exact moments times OMEGA4; all
     other symbols pass through as spectators.
     """
-    out = Scalar.zero()
+    out = {}
     for m, c in s.terms.items():
-        exps = [0] * 5
-        rest = []
-        for sym, e in m:
-            if sym in XI_SYMBOLS:
-                exps[XI_SYMBOLS.index(sym)] = e
-            else:
-                rest.append((sym, e))
+        exps = [_exponent(m, x) for x in XI_SYMBOLS]
         mom = sphere_moment(exps)
-        if mom == 0:
-            continue
-        rest.append(("OMEGA4", 1))
-        out = out + Scalar({_normalize_mono(rest): c * mom})
-    return out
+        if mom:
+            for x, e in zip(XI_SYMBOLS, exps):
+                m -= e << _SHIFT[x]
+            _add_term(out, m + (1 << _SHIFT["OMEGA4"]), c * mom)
+    return _scalar(out)

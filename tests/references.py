@@ -36,7 +36,7 @@ from wresbd.catalog import _i_c_xi, cubed_sigma
 from wresbd.clifford import CliffordElement
 from wresbd.oracle import _moment
 from wresbd.refdata import PUBLISHED
-from wresbd.ring import XI_SYMBOLS, GRat, Scalar, _normalize_mono
+from wresbd.ring import XI_SYMBOLS, GRat, Scalar
 from wresbd.symbols import (RationalSymbol, _poly_add, _poly_map, _poly_mul,
                             b0_scalar, b_poly, pi_plus)
 
@@ -84,6 +84,14 @@ def equals(a, b):
     return not num
 
 
+def scalar_term(pairs, c=1):
+    """The Scalar c * prod sym**e over (sym, e) pairs."""
+    out = Scalar.from_grat(c)
+    for sym, e in pairs:
+        out = out * Scalar.sym(sym, e)
+    return out
+
+
 def reduce_unit_sphere(s):
     """Normal form modulo the unit-sphere relation XI1^2+...+XI5^2 = 1.
 
@@ -95,18 +103,16 @@ def reduce_unit_sphere(s):
     for name in XI_SYMBOLS[:4]:
         rep = rep - Scalar.sym(name, 2)
     out = Scalar.zero()
-    work = [(m, c) for m, c in s.terms.items()]
+    work = s.monomials()
     while work:
         m, c = work.pop()
         e5 = dict(m).get("XI5", 0)
         if e5 < 2:
-            out = out + Scalar({m: c})
+            out = out + scalar_term(m, c)
             continue
         rest = [(sym, x) for sym, x in m if sym != "XI5"]
-        if e5 - 2:
-            rest.append(("XI5", e5 - 2))
-        base = Scalar({_normalize_mono(rest): c}) * rep
-        work.extend(base.terms.items())
+        rest.append(("XI5", e5 - 2))
+        work.extend((scalar_term(rest, c) * rep).monomials())
     return out
 
 
@@ -135,7 +141,7 @@ def homogeneity_order(sym):
     for q, p in sym.terms.items():
         for k, ce in enumerate(p):
             for (w, e), s in ce.terms.items():
-                for mono in s.terms:
+                for mono, _ in s.monomials():
                     d = k + xi_degree_of(mono) - 2 * q
                     if order is None:
                         order = d
@@ -154,8 +160,8 @@ def homogeneous_part(sym, order):
     if sym.restricted:
         raise ValueError("homogeneity is checked before restriction")
     return RationalSymbol(False, {q: [
-        CE({key: Scalar({m: c for m, c in s.terms.items()
-                          if k + xi_degree_of(m) - 2 * q == order})
+        CE({key: sum((scalar_term(m, c) for m, c in s.monomials()
+                      if k + xi_degree_of(m) - 2 * q == order), Scalar.zero())
             for key, s in ce.terms.items()})
         for k, ce in enumerate(p)] for q, p in sym.terms.items()})
 

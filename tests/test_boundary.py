@@ -307,7 +307,7 @@ def test_matched_pair_with_three_endomorphisms_is_rejected(fam):
 def _env_with_pair_traces(value, assignment):
     """The assignment's values plus the T2 pair traces `value` holds."""
     env = dict(assignment.env)
-    for mono in value.terms:
+    for mono, _ in value.monomials():
         for sym, _ in mono:
             if sym.startswith("T2:"):
                 f1, j1, f2, j2 = sym.split(":")[1:]

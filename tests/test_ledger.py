@@ -5,7 +5,9 @@ import json
 import pytest
 
 from wresbd import boundary, ledger
-from wresbd.ledger import _fmt_c, build_ledger, render_json, render_text
+from wresbd.ledger import (_fmt_c, _id_key, build_ledger, render_json,
+                           render_text)
+from wresbd.refdata import PUBLISHED
 
 
 def test_entry_ids_unique_and_complete():
@@ -34,6 +36,22 @@ def test_json_entries_sorted_by_id():
     data = json.loads(render_json(led))
     ids = [e["id"] for e in data["entries"]]
     assert ids == sorted(ids, key=lambda s: float(s.strip("()")))
+
+
+def test_every_published_id_parses():
+    ids = [eq_id for fam in PUBLISHED.values() for eq_id, _ in fam.values()]
+    assert len(ids) == 26
+    assert [_id_key({"id": i}) for i in ["(5.29)", "(3.9)", "(3.12)"]] == [
+        (5, 29), (3, 9), (3, 12)]
+    for eq_id in ids:
+        major, minor = _id_key({"id": eq_id})
+        assert eq_id == "(%d.%d)" % (major, minor)
+
+
+@pytest.mark.parametrize("eq_id", ["3.12", "(3.12", "(3.12a)", "(x.1)", ""])
+def test_malformed_id_is_rejected(eq_id):
+    with pytest.raises(ValueError, match="malformed equation id"):
+        _id_key({"id": eq_id})
 
 
 def test_text_report_shows_both_values_per_entry():

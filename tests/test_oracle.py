@@ -241,7 +241,8 @@ def test_assignment_holds_only_single_traces():
         results, _ = assemble(fam)
         for res in results.values():
             for val in [res.value, *res.blocks.values()]:
-                assert not any(sym.startswith("T2:") for mono in val.terms
+                assert not any(sym.startswith("T2:")
+                               for mono, _ in val.monomials()
                                for sym, _ in mono), (fam, res.case.case_id)
     with pytest.raises(KeyError):
         Scalar.sym("T2:Phi:1:PhiStar:2").evaluate(OracleAssignment(1).env)

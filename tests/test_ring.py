@@ -5,21 +5,29 @@ Expected moment values below were frozen from an independent computation
 with 4e6 samples) before the ring was written.
 """
 
+import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from references import reduce_unit_sphere
+import wresbd
 from wresbd.clifford import CliffordElement as CE
 from wresbd.ring import (
     GRat,
     Scalar,
     XI_SYMBOLS,
-    _mono_mul,
-    _normalize_mono,
+    _decode,
+    _encode,
+    _exponent,
+    _sym_rank,
     sphere_integrate,
     sphere_moment,
 )
@@ -160,21 +168,122 @@ class TestGRatAgainstFractionPairs:
 ALPHABET = ("PI", "H1", "K", "OMEGA4", "DIMF", "SH") + XI_SYMBOLS + (
     "T:sigmaF:1", "T:Phi:3", "T2:Phi:1:PhiStar:2")
 MONOS = st.dictionaries(st.sampled_from(ALPHABET), st.integers(-2, 2),
-                        max_size=6).map(lambda d: _normalize_mono(d.items()))
+                        max_size=6).map(lambda d: _encode(d.items()))
 SCALARS = st.dictionaries(MONOS, PAIRS.map(lambda p: GRat(*p)),
                           max_size=4).map(Scalar)
 
+# exponents whose pairwise sums stay inside a 16-bit field, small ones
+# (so that sums cancel) as often as large ones
+FIELD = 2 ** 15
+EXPS = st.one_of(st.integers(-3, 3),
+                 st.integers(-(FIELD // 2 - 1), FIELD // 2 - 1))
+PAIR_LISTS = st.dictionaries(st.sampled_from(ALPHABET), EXPS,
+                             max_size=8).map(lambda d: list(d.items()))
+
+
+def _normal(pairs):
+    """(symbol, exponent) pairs summed per symbol, zeros dropped, in
+    _sym_rank order: the monomial the pairs denote."""
+    acc = {}
+    for s, e in pairs:
+        acc[s] = acc.get(s, 0) + e
+    return tuple(sorted(((s, e) for s, e in acc.items() if e),
+                        key=lambda p: _sym_rank(p[0])))
+
+
+class TestPackedMonomials:
+    @given(PAIR_LISTS)
+    def test_round_trip(self, pairs):
+        assert _decode(_encode(pairs)) == _normal(pairs)
+        # inverse monomials cancel to the empty one
+        assert _encode(pairs) + _encode([(s, -e) for s, e in pairs]) == 0
+
+    def test_negative_lower_fields_borrow_nothing(self):
+        # PI and H1 hold the two lowest fields; a negative one below a
+        # field must not change what that field reads
+        m = _encode([("PI", -1), ("H1", 2), ("T:Phi:3", -2),
+                     ("T:sigmaF:1", 1)])
+        assert _exponent(m, "H1") == 2
+        assert _exponent(m, "T:sigmaF:1") == 1
+        assert _decode(m) == (("PI", -1), ("H1", 2), ("T:Phi:3", -2),
+                              ("T:sigmaF:1", 1))
+        assert Scalar.sym("PI", -1).render() == "PI**-1"
+
+    def test_decode_orders_trace_symbols_by_name(self):
+        # fields are given in order of first use, here against name order
+        late, early = _encode([("T:order:2", 1)]), _encode([("T:order:1", -1)])
+        m = late + early + _encode([("XI2", 3)])
+        assert _decode(m) == (("XI2", 3), ("T:order:1", -1), ("T:order:2", 1))
+        assert Scalar({m: 2}).render() == "2*XI2**3*T:order:1**-1*T:order:2"
+
+    @given(PAIR_LISTS, PAIR_LISTS)
+    def test_product_is_addition(self, p, q):
+        assert _encode(p) + _encode(q) == _encode(p + q)
+        assert _decode(_encode(p) + _encode(q)) == _normal(p + q)
+
+    @given(PAIR_LISTS)
+    def test_one_field_reads_as_the_full_decode(self, pairs):
+        m = _encode(pairs)
+        full = dict(_decode(m))
+        for sym in ALPHABET + ("T:never:used",):
+            assert _exponent(m, sym) == full.get(sym, 0)
+
+    @pytest.mark.parametrize("pairs", [
+        [("XI1", FIELD)], [("PI", -FIELD)], [("T:Phi:3", FIELD + 5)],
+        [("H1", FIELD // 2), ("H1", FIELD // 2)]])
+    def test_exponent_outside_the_field_raises(self, pairs):
+        with pytest.raises(ValueError, match="field"):
+            _encode(pairs)
+
+    def test_field_edges_round_trip(self):
+        for e in (FIELD - 1, -(FIELD - 1)):
+            for sym in ("PI", "XI5", "T:Phi:3"):
+                assert _decode(_encode([(sym, e), ("H1", -1)])) == _normal(
+                    [(sym, e), ("H1", -1)])
+        with pytest.raises(ValueError, match="field"):
+            Scalar.sym("H1", FIELD)
+
+
+# both families' assemble() rendered, and the trace symbols in field order
+_ASSEMBLE_RENDERED = """
+import json, sys
+import wresbd
+from wresbd import ring
+for name in json.loads(sys.argv[1]):
+    ring._shift(name)
+out = {}
+for fam in ("dirac", "signature"):
+    results, total = wresbd.assemble(fam)
+    out[fam] = [[cid, res.value.render(),
+                 sorted((k, v.render()) for k, v in res.blocks.items())]
+                for cid, res in results.items()]
+    out[fam].append(["total", total.render(),
+                     wresbd.substitute_K(total).render()])
+print(json.dumps([out, [n for n in ring._NAMES if n.startswith("T")]]))
+"""
+
+
+def _assemble_rendered(first_names):
+    env = dict(os.environ)
+    src = str(Path(wresbd.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", _ASSEMBLE_RENDERED, json.dumps(first_names)],
+        env=env, capture_output=True, text=True, timeout=120,
+        check=True).stdout)
+
+
+def test_rendering_ignores_the_field_order():
+    reports, names = _assemble_rendered([])
+    assert len(names) > 2
+    backward = names[::-1]
+    reports_back, names_back = _assemble_rendered(backward)
+    assert names_back == backward
+    assert reports_back == reports
+
 
 class TestScalarRingAxioms:
-    @given(MONOS, MONOS)
-    def test_merged_monomial_product(self, m1, m2):
-        assert _mono_mul(m1, m2) == _normalize_mono(list(m1) + list(m2))
-
-    @given(MONOS)
-    def test_inverse_monomials_cancel(self, m):
-        inv = tuple((s, -e) for s, e in m)
-        assert _mono_mul(m, inv) == ()
-
     @given(SCALARS, SCALARS, SCALARS)
     def test_associative_and_distributive(self, x, y, z):
         assert (x * y) * z == x * (y * z)
@@ -329,7 +438,7 @@ class TestSphereReduction:
         r = reduce_unit_sphere(s)
         assert reduce_unit_sphere(r) == r
         # no XI5 power above 1 left
-        for m in r.terms:
+        for m, _ in r.monomials():
             assert dict(m).get("XI5", 0) <= 1
 
     def test_relation_killed(self):
@@ -402,7 +511,7 @@ class TestSphereMoments:
     @settings(max_examples=60)
     def test_sphere_reduction_changes_no_integral(self, terms):
         # keys: XI1..XI4 exponents, the XI5 exponent, the H1 exponent
-        s = sum((Scalar({_normalize_mono(zip(XI_SYMBOLS + ("H1",), k)): c})
+        s = sum((Scalar({_encode(zip(XI_SYMBOLS + ("H1",), k)): c})
                  for k, c in terms.items()), Scalar.zero())
         assert sphere_integrate(s) == sphere_integrate(reduce_unit_sphere(s))
 

@@ -327,6 +327,19 @@ class TestRestriction:
             equal_on_sphere(lhs, rhs)
         assert equal_on_sphere(lhs.restrict(), rhs.restrict())
 
+    def test_restricted_symbol_plus_a_constant(self):
+        # a constant joins a restricted symbol as the pole-free key (0, 0)
+        s = RationalSymbol(True, {(1, 1): [CE.one()]})
+        for c in (2, Scalar.sym("H1"), CE.c(1)):
+            t = s + c
+            assert t.restricted
+            assert t.terms == {(1, 1): [CE.one()], (0, 0): [CE._coerce(c)]}
+            assert (c - s).terms[(0, 0)] == [CE._coerce(c)]
+        env = {"H1": 0.5}
+        for xin in (-1.5, 0.0, 2.0):
+            assert evaluate_symbol(s + Scalar.sym("H1"), xin, env) == \
+                pytest.approx(1 / (1 + xin ** 2) + 0.5, rel=1e-14)
+
     def test_mixing_phases_rejected(self):
         rng = random.Random(1)
         with pytest.raises(ValueError):
