@@ -6,27 +6,34 @@ Two anticommuting families of generators over a 6-dimensional space:
     ('CH', j)   hat-c(e_j),  hat-c(e_j)^2 = +1
 
 Distinct generators anticommute, including every mixed pair c(e_i) hat-c(e_j)
-(also for i = j).  Words are kept in a canonical sorted order (all C's before
-all CH's, each by index), with signs tracked as 12-bit masks by normal_form.
+(also for i = j).  A reduced word is a 12-bit mask: bits 0-5 are
+c(e_1)..c(e_6), bits 6-11 hat-c(e_1)..hat-c(e_6), and 0 is the empty word,
+so ascending bits are the canonical order (all C's before all CH's, each by
+index).  normal_form reduces a generator word to (sign, mask), and the
+sign of a product of two reduced words comes from bit counts alone, as for
+the bitmap basis blades of Dorst, Fontijne and Mann, Geometric Algebra for
+Computer Science, ch. 19.
 
-Elements may carry a short word of formal bundle endomorphisms ('fam', j) --
-the connection-form symbols of the twisting bundle.  These commute with the
-Clifford generators but not with each other; at most two survive any product
-that the residue computation needs, so longer endomorphism words are an
-error.  Traces of endomorphism words stay symbolic: T:fam:j for one factor,
-T2:f1:j1:f2:j2 for an ordered pair, DIMF for the empty word.
+An element maps (mask, endomorphism word) keys to Scalar coefficients.  The
+endomorphism word is a short tuple of formal bundle endomorphisms ('fam', j)
+-- the connection-form symbols of the twisting bundle.  These commute with
+the Clifford generators but not with each other; at most two survive any
+product that the residue computation needs, so longer endomorphism words
+are an error.  Traces of endomorphism words stay symbolic: T:fam:j for one
+factor, T2:f1:j1:f2:j2 for an ordered pair, DIMF for the empty word.
 
 One fibre-trace rule serves the 8-dimensional spin module (C only) and the
 64-dimensional exterior module (C = wedge - contraction, CH = wedge +
-contraction): only the empty word has a trace.  trace_ext_degree splits
-the exterior trace by form degree, exactly.  The representation matrices
-that check both rules live in the numeric oracle.
+contraction): only the empty word, mask 0, has a trace.  trace_ext_degree
+splits the exterior trace by form degree, exactly.  The representation
+matrices that check both rules live in the numeric oracle.
 """
 
 from fractions import Fraction
 from math import comb
 
-from .ring import GRat, Scalar, _add_term, _encode, _scalar
+from .ring import (GRat, Scalar, _add_term, _coerce, _encode, _product,
+                   _scalar)
 
 __all__ = [
     "CliffordElement",
@@ -41,50 +48,50 @@ __all__ = [
 SPIN_DIM = 8
 EXT_DIM = 64
 
-
-# c(e_1)..c(e_6) are bits 0-5 and hat-c(e_1)..hat-c(e_6) bits 6-11 of a
-# word's mask, so ascending bits are the canonical order
-_BITS = [("C", j) for j in range(1, 7)] + [("CH", j) for j in range(1, 7)]
-_BIT = {g: b for b, g in enumerate(_BITS)}
-# canonical word of each mask met so far (at most 4096)
-_WORDS = {}
-
-
-def _check_gen(g):
-    """The mask bit of generator g; ValueError if g is not a generator."""
-    try:
-        return _BIT[g]
-    except (KeyError, TypeError):
-        raise ValueError("bad Clifford generator %r" % (g,)) from None
-
-
-def _reduce(word):
-    """(sign, mask) of a generator word; see normal_form."""
-    odd = m = 0
-    for g in word:
-        b = _check_gen(g)
-        odd += (m >> b + 1).bit_count() + ((m & 63) >> b & 1)
-        m ^= 1 << b
-    return -1 if odd & 1 else 1, m
+# the generator of each mask bit
+_GENS = [("C", j) for j in range(1, 7)] + [("CH", j) for j in range(1, 7)]
+# the bits that generator b passes on joining a reduced word: every bit
+# above its own, and its own for a C, whose square is -1
+_PAST = [4096 - (2 << b) | (1 << b if b < 6 else 0) for b in range(12)]
+# generator -> (its bit, the bits it passes)
+_GEN = {g: (1 << b, _PAST[b]) for b, g in enumerate(_GENS)}
 
 
 def normal_form(word):
-    """Sort a generator word, tracking the anticommutation sign.
+    """Reduce a generator word, tracking the anticommutation sign.
 
-    Returns (sign, canonical_word), sign +1 or -1.  Generator bit b moves
-    past the (m >> b+1).bit_count() generators above it in the mask m so
-    far, contracts via c^2 = -1 / hat-c^2 = +1 if bit b is set, and m
-    becomes m ^ (1 << b).  A lazily filled table maps m to its word.
+    Returns (sign, mask), sign +1 or -1.  Each generator, read left to
+    right into the mask m so far, passes the (m & past).bit_count()
+    generators of m in its entry's past, contracts with its own bit if m
+    has it, and m becomes m ^ bit.
     """
-    sign, m = _reduce(word)
-    w = _WORDS.get(m)
-    if w is None:
-        w = _WORDS[m] = tuple(g for b, g in enumerate(_BITS) if m >> b & 1)
-    return sign, w
+    odd = m = 0
+    for g in word:
+        try:
+            bit, past = _GEN[g]
+        except (KeyError, TypeError):
+            raise ValueError("bad Clifford generator %r" % (g,)) from None
+        odd += (m & past).bit_count()
+        m ^= bit
+    return -1 if odd & 1 else 1, m
+
+
+def _product_sign(m1, m2):
+    """Sign of reduced word m1 times reduced word m2, whose mask is m1 ^ m2.
+
+    The bits of m2 join m1 in ascending order, so each one passes only
+    bits of m1.
+    """
+    odd = 0
+    while m2:
+        low = m2 & -m2
+        odd += (m1 & _PAST[low.bit_length() - 1]).bit_count()
+        m2 ^= low
+    return -1 if odd & 1 else 1
 
 
 class CliffordElement:
-    """Linear combination of (clifford word, endomorphism word) pairs."""
+    """Linear combination of (word mask, endomorphism word) pairs."""
 
     __slots__ = ("terms",)
 
@@ -92,6 +99,10 @@ class CliffordElement:
         self.terms = {}
         if terms:
             for k, c in terms.items():
+                # a stale word tuple would make a separate, wrong term
+                if type(k[0]) is not int or not 0 <= k[0] < 4096:
+                    raise TypeError("term key %r: the word must be a 12-bit "
+                                    "int mask" % (k,))
                 c = Scalar._coerce(c)
                 if not c.is_zero():
                     self.terms[k] = c
@@ -104,7 +115,7 @@ class CliffordElement:
 
     @classmethod
     def scalar(cls, c):
-        return cls({((), ()): c})
+        return cls({(0, ()): c})
 
     @classmethod
     def one(cls):
@@ -120,14 +131,19 @@ class CliffordElement:
 
     @classmethod
     def endo(cls, fam, j, coeff=1):
-        return cls({((), ((fam, j),)): Scalar._coerce(coeff)})
+        return cls({(0, ((fam, j),)): Scalar._coerce(coeff)})
 
     @classmethod
     def word(cls, gens, coeff=1):
-        sign, w = normal_form(gens)
-        c = Scalar._coerce(coeff)
+        sign, m = normal_form(gens)
+        if sign < 0:
+            coeff = -coeff
         r = cls.__new__(cls)
-        r.terms = {} if c.is_zero() else {(w, ()): -c if sign < 0 else c}
+        if isinstance(coeff, Scalar):
+            r.terms = {(m, ()): coeff} if coeff.terms else {}
+        else:
+            c = _coerce(coeff)
+            r.terms = {(m, ()): _scalar({0: c})} if c else {}
         return r
 
     # -- algebra ----------------------------------------------------------
@@ -173,21 +189,18 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         out = {}
-        for (w1, e1), c1 in self.terms.items():
-            for (w2, e2), c2 in other.terms.items():
+        for (m1, e1), c1 in self.terms.items():
+            for (m2, e2), c2 in other.terms.items():
                 endo = e1 + e2
                 if len(endo) > 2:
                     raise ValueError(
                         "endomorphism word of length %d; the residue "
                         "computation never needs more than two factors" % len(endo)
                     )
-                sign, w = normal_form(w1 + w2)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
                 # c is a new Scalar, so the first one at a key takes later
                 # products in place
-                key = (w, endo)
+                c = _product(c1, c2, _product_sign(m1, m2))
+                key = (m1 ^ m2, endo)
                 v = out.get(key)
                 if v is None:
                     out[key] = c
@@ -211,8 +224,8 @@ class CliffordElement:
 
     def __hash__(self):
         # a scalar-only element hashes as its Scalar
-        if self.terms.keys() <= {((), ())}:
-            return hash(self.terms.get(((), ()), 0))
+        if self.terms.keys() <= {(0, ())}:
+            return hash(self.terms.get((0, ()), 0))
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
@@ -238,14 +251,17 @@ class CliffordElement:
         return r
 
     def has_ch(self):
-        return any(g[0] == "CH" for w, _ in self.terms for g in w)
+        return any(m >> 6 for m, _ in self.terms)
 
     def __repr__(self):
         if not self.terms:
             return "CliffordElement(0)"
+        words = {k: [g for b, g in enumerate(_GENS) if k[0] >> b & 1]
+                 for k in self.terms}
         bits = []
-        for (w, e) in sorted(self.terms, key=lambda k: (len(k[0]), k)):
-            c = self.terms[(w, e)]
+        for k in sorted(self.terms,
+                        key=lambda k: (len(words[k]), words[k], k[1])):
+            c, w, e = self.terms[k], words[k], k[1]
             gens = ".".join("%s%d" % (("c" if kind == "C" else "ch"), j) for kind, j in w)
             endo = ".".join("%s(%s)" % (fam, j) for fam, j in e)
             name = ".".join(x for x in (gens, endo) if x) or "1"
@@ -270,8 +286,8 @@ def _trace(elt, dim):
     a one-symbol monomial, so its packed key adds to each monomial.
     """
     out = {}
-    for (w, endo), c in elt.terms.items():
-        if not w:
+    for (mask, endo), c in elt.terms.items():
+        if not mask:
             t = _encode([(_endo_trace_symbol(endo), 1)])
             for m, x in c.terms.items():
                 _add_term(out, m + t, x * dim)
@@ -299,7 +315,7 @@ def trace_ext_degree(word, degree):
     a product of p such pairs has trace [t^m] (1+t)^(6-p) (t-1)^p on
     m-forms; the reduced word (p C's, then p CH's) is (-1)^(p(p-1)/2) times it.
     """
-    sign, m = _reduce(word)
+    sign, m = normal_form(word)
     if m & 63 != m >> 6:
         return 0
     p = (m & 63).bit_count()

@@ -32,7 +32,9 @@ a fault in the catalog, pi+, the restriction, d/dx_n or d/dxi_n reaches
 both sides unseen (see the fault-injection tests).  Agreement checks the
 trace, line-integral, sphere-integral and prefactor stages end to end.
 Beyond those symbols the oracle reads only names from the engine: the
-generator check, the fibre dimensions and the XI symbols.
+fibre dimensions and the XI symbols.  It reads each reduced Clifford word
+of a symbol as the engine keys it, a 12-bit mask, and decodes the bits
+into generators itself.
 """
 
 import math
@@ -40,7 +42,7 @@ from functools import lru_cache, reduce
 
 from .boundary import case_factor_pairs
 from .catalog import FAMILIES
-from .clifford import EXT_DIM, SPIN_DIM, _check_gen
+from .clifford import EXT_DIM, SPIN_DIM
 from .ring import XI_SYMBOLS
 
 __all__ = ["OracleAssignment", "oracle_case", "rep_matrix", "word_matrix",
@@ -212,9 +214,16 @@ _GENS = {
 }
 
 
+# the generator of each bit of a word mask: C1..C6 are bits 0-5, CH1..CH6
+# bits 6-11
+_BIT_GENS = list(_GENS["ext"])
+
+
 def rep_matrix(gen, rep):
     """(perm, phase) of one generator: rep is 'spin' (8x8) or 'ext' (64x64)."""
-    _check_gen(gen)
+    # a list, so that an unhashable gen is only unequal
+    if gen not in _BIT_GENS:
+        raise ValueError("bad Clifford generator %r" % (gen,))
     if rep not in _GENS:
         raise ValueError("unknown representation %r" % (rep,))
     if gen not in _GENS[rep]:
@@ -236,8 +245,11 @@ def ext_degree_trace(word, degree):
                        if perm[s] == s and s.bit_count() == degree))
 
 
-# only reduced words (CliffordElement term keys) reach this cache
-_wmat = lru_cache(maxsize=None)(word_matrix)
+@lru_cache(maxsize=None)
+def _mask_matrix(mask, rep):
+    """(perm, phase) of the reduced word of a CliffordElement term key."""
+    return word_matrix([g for b, g in enumerate(_BIT_GENS) if mask >> b & 1],
+                       rep)
 
 
 # Gamma((a+1)/2) for even a (zero for odd a) and Gamma((s+5)/2), indexed by
@@ -282,17 +294,17 @@ def _sphere_product(first, second):
 
 
 @lru_cache(maxsize=None)
-def _pair_trace(w1, w2, rep):
-    """tr(M(w1) M(w2)), without forming the product."""
-    (p1, f1), (p2, f2) = _wmat(w1, rep), _wmat(w2, rep)
+def _pair_trace(m1, m2, rep):
+    """tr(M(m1) M(m2)) of two word masks, without forming the product."""
+    (p1, f1), (p2, f2) = _mask_matrix(m1, rep), _mask_matrix(m2, rep)
     return complex(sum(f1[t] * f for s, (t, f) in enumerate(zip(p2, f2))
                        if p1[t] == s))
 
 
 def _numeric_terms(sym, env):
-    """[(pole key, [[(word, endo word, numeric coeff)] per degree])]."""
-    return [(key, [[(w, e, _numeric_coeff(s, env))
-                    for (w, e), s in ce.terms.items()] for ce in poly])
+    """[(pole key, [[(word mask, endo word, numeric coeff)] per degree])]."""
+    return [(key, [[(m, e, _numeric_coeff(s, env))
+                    for (m, e), s in ce.terms.items()] for ce in poly])
             for key, poly in sym.terms.items()]
 
 
@@ -312,9 +324,9 @@ def _pair_integrand_polys(fsym, ssym, rep, assignment):
             for i1, c1 in enumerate(p1):
                 for i2, c2 in enumerate(p2):
                     deg = i1 + i2
-                    for w1, e1, n1 in c1:
-                        for w2, e2, n2 in c2:
-                            tc = _pair_trace(w1, w2, rep)
+                    for m1, e1, n1 in c1:
+                        for m2, e2, n2 in c2:
+                            tc = _pair_trace(m1, m2, rep)
                             if abs(tc) < 1e-14:
                                 continue
                             te = assignment.endo_trace(e1 + e2)

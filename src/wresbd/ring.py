@@ -273,6 +273,18 @@ def _add_term(out, m, c):
         del out[m]
 
 
+def _product(s, t, sign=1):
+    """The Scalar sign * s * t, sign +1 or -1: monomials multiply by int
+    addition, coefficients on the GRat integers."""
+    out = {}
+    for m1, x in s.terms.items():
+        a, b = sign * x.a, sign * x.b
+        for m2, y in t.terms.items():
+            _add_term(out, m1 + m2, _grat(a * y.a - b * y.b,
+                                          a * y.b + b * y.a, x.d * y.d))
+    return _scalar(out)
+
+
 class Scalar:
     """Exact polynomial over the coefficient alphabet with GRat coefficients,
     ``terms`` mapping each packed monomial to its nonzero coefficient."""
@@ -345,12 +357,7 @@ class Scalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        out = {}
-        for m1, x in self.terms.items():
-            for m2, y in other.terms.items():
-                _add_term(out, m1 + m2, _grat(x.a * y.a - x.b * y.b,
-                                              x.a * y.b + x.b * y.a, x.d * y.d))
-        return _scalar(out)
+        return _product(self, other)
 
     __rmul__ = __mul__
 

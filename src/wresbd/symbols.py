@@ -311,13 +311,13 @@ def integrate_line(sym):
     """
     if not sym.restricted:
         raise ValueError("integrate over xi_n after restriction")
-    if any(w or e for p in sym.terms.values() for ce in p for w, e in ce.terms):
+    if any(m or e for p in sym.terms.values() for ce in p for m, e in ce.terms):
         raise ValueError("integrate_line needs scalar coefficients; "
                          "take the trace first")
     zero = Scalar.zero()
     residue = tail = zero
     for (a, b), p in sym.terms.items():
-        p = [ce.terms.get(((), ()), zero) for ce in p]
+        p = [ce.terms.get((0, ()), zero) for ce in p]
         if len(p) > a + b:
             raise NotIntegrable("term of xi_n-degree %d over (xi_n - i)^%d "
                                 "(xi_n + i)^%d" % (len(p) - 1, a, b))

@@ -25,6 +25,8 @@
 * ``normal_form_by_sort`` -- the Clifford normal form by insertion sort,
   one anticommutation at a time, against which the mask reduction of
   ``wresbd.clifford.normal_form`` is checked.
+* ``mask_word`` and ``word_mask`` -- the canonical generator word of a
+  12-bit word mask (a ``CliffordElement`` term key) and back.
 """
 
 from fractions import Fraction
@@ -277,6 +279,24 @@ def normal_form_by_sort(word):
         else:
             out.insert(pos, g)
     return sign, tuple(out)
+
+
+# c(e_1)..c(e_6) are bits 0-5 of a word mask, hat-c(e_1)..hat-c(e_6) 6-11
+_MASK_BITS = [("C", j) for j in range(1, 7)] + [("CH", j) for j in range(1, 7)]
+
+
+def mask_word(mask):
+    """The canonical generator word of a 12-bit word mask."""
+    if not 0 <= mask < 1 << len(_MASK_BITS):
+        raise ValueError("not a 12-bit word mask: %r" % (mask,))
+    return tuple(g for b, g in enumerate(_MASK_BITS) if mask >> b & 1)
+
+
+def word_mask(word):
+    """The 12-bit mask of a canonical (reduced, sorted) generator word."""
+    if list(word) != sorted(set(word), key=_gkey):
+        raise ValueError("not a canonical word: %r" % (word,))
+    return sum(1 << _MASK_BITS.index(g) for g in word)
 
 
 # -- small constructors ------------------------------------------------------

@@ -31,7 +31,8 @@ from pathlib import Path
 import pytest
 
 from references import (dense, equal_on_sphere, equals, evaluate_symbol,
-                        invert_cubed, paper_form, paper_value, pi_minus)
+                        invert_cubed, mask_word, paper_form, paper_value,
+                        pi_minus)
 from test_symbols import _quad_complex, random_restricted
 from wresbd.boundary import CASES, assemble, evaluate_case, substitute_K
 from wresbd.catalog import (DIRAC, SIGNATURE, _frac, _sandwich, alpha_dirac,
@@ -64,7 +65,8 @@ class TestAlgebraSuite:
         for g in ALL_GENS:
             a = dense(rep_matrix(g, "ext"))
             square = 1 if g[0] == "CH" else -1
-            assert normal_form((g, g)) == (square, ())
+            sign, mask = normal_form((g, g))
+            assert (sign, mask_word(mask)) == (square, ())
             assert np.allclose(a @ a, square * np.eye(a.shape[0]))
             for h in ALL_GENS:
                 if g == h:

@@ -7,8 +7,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from references import dense, normal_form_by_sort, reduce_unit_sphere
+from references import (dense, mask_word, normal_form_by_sort,
+                        reduce_unit_sphere, word_mask)
+from wresbd.catalog import FAMILIES, cubed_sigma, first_order_sigma
 from wresbd.clifford import (
+    _GEN,
+    _GENS,
+    _PAST,
     EXT_DIM,
     SPIN_DIM,
     CliffordElement,
@@ -54,23 +59,29 @@ class TestMatrixRelations:
             rep_matrix(("CH", 1), "spin")
 
 
+def _sorted_form(word):
+    """normal_form with its mask read back as a canonical word."""
+    sign, mask = normal_form(word)
+    return sign, mask_word(mask)
+
+
 class TestNormalForm:
     def test_squares(self):
-        assert normal_form((("C", 3), ("C", 3))) == (-1, ())
-        assert normal_form((("CH", 2), ("CH", 2))) == (1, ())
+        assert _sorted_form((("C", 3), ("C", 3))) == (-1, ())
+        assert _sorted_form((("CH", 2), ("CH", 2))) == (1, ())
 
     def test_sorting_sign(self):
-        sign, w = normal_form((("C", 2), ("C", 1)))
+        sign, w = _sorted_form((("C", 2), ("C", 1)))
         assert sign == -1 and w == (("C", 1), ("C", 2))
-        sign, w = normal_form((("CH", 1), ("C", 1)))
+        sign, w = _sorted_form((("CH", 1), ("C", 1)))
         assert sign == -1 and w == (("C", 1), ("CH", 1))
 
     def test_idempotent(self):
         rng = random.Random(7)
         for _ in range(200):
             word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(0, 6)))
-            sign, w = normal_form(word)
-            assert normal_form(w) == (1, w)
+            sign, w = _sorted_form(word)
+            assert _sorted_form(w) == (1, w)
             assert sign in (1, -1)
 
     def test_matches_matrices(self):
@@ -78,7 +89,7 @@ class TestNormalForm:
         rng = random.Random(11)
         for _ in range(150):
             word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(1, 5)))
-            sign, w = normal_form(word)
+            sign, w = _sorted_form(word)
             assert np.allclose(dense(word_matrix(word, "ext")),
                                sign * dense(word_matrix(w, "ext")))
 
@@ -87,19 +98,86 @@ class TestNormalForm:
         # seeded longer ones
         for n in range(5):
             for word in itertools.product(ALL_GENS, repeat=n):
-                assert normal_form(word) == normal_form_by_sort(word)
+                assert _sorted_form(word) == normal_form_by_sort(word)
         rng = random.Random(24)
         for _ in range(2000):
             word = tuple(rng.choice(ALL_GENS) for _ in range(rng.randint(5, 10)))
-            assert normal_form(word) == normal_form_by_sort(word)
+            assert _sorted_form(word) == normal_form_by_sort(word)
 
     def test_word_takes_one_shot_iterator(self):
         word = [("CH", 2), ("C", 5), ("C", 1)]
         got = CE.word((g for g in word), 3)
         assert got == CE.word(word, 3)
-        # C5 passes CH2, C1 passes both: three anticommutations
-        key = (("C", 1), ("C", 5), ("CH", 2))
-        assert got.terms == {(key, ()): Scalar.rational(-3)}
+        # C5 passes CH2, C1 passes both: three anticommutations; the key's
+        # mask holds C1, C5 and CH2 in bits 0, 4 and 7
+        assert mask_word(145) == (("C", 1), ("C", 5), ("CH", 2))
+        assert got.terms == {(145, ()): Scalar.rational(-3)}
+
+
+class TestMaskTables:
+    def test_past_masks_match_the_bit_count_formula(self):
+        # the bits generator b passes in mask m: those above b, and b
+        # itself for a C (c^2 = -1)
+        for m in range(4096):
+            for b in range(12):
+                assert ((m & _PAST[b]).bit_count()
+                        == (m >> b + 1).bit_count() + ((m & 63) >> b & 1))
+        assert _GEN == {g: (1 << b, _PAST[b]) for b, g in enumerate(ALL_GENS)}
+        assert _GENS == ALL_GENS
+
+    @staticmethod
+    def _check_product(w1, w2):
+        sign, word = normal_form_by_sort(w1 + w2)
+        assert ((CE.word(w1) * CE.word(w2)).terms
+                == {(word_mask(word), ()): Scalar.rational(sign)})
+
+    def test_products_of_short_reduced_words(self):
+        # every pair of the 79 reduced words of length <= 2
+        short = [w for n in range(3) for w in itertools.combinations(ALL_GENS, n)]
+        assert len(short) == 79
+        for w1 in short:
+            for w2 in short:
+                self._check_product(w1, w2)
+
+    def test_products_of_sampled_masks(self):
+        rng = random.Random(28)
+        for _ in range(2000):
+            self._check_product(mask_word(rng.randrange(4096)),
+                                mask_word(rng.randrange(4096)))
+
+
+class TestTermKeys:
+    """Every term key is (12-bit int word mask, endomorphism tuple)."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_catalog_keys_are_masks(self, family):
+        fam = FAMILIES[family]
+        blocks = [sym for catalog, orders in ((cubed_sigma, (3, 2, -3, -4)),
+                                              (first_order_sigma, (-1, -2)))
+                  for order in orders
+                  for sym in catalog(fam, order).values()]
+        keys = 0
+        for sym in blocks:
+            for poly in sym.terms.values():
+                for ce in poly:
+                    for key, c in ce.terms.items():
+                        mask, endo = key
+                        assert type(mask) is int and 0 <= mask < 4096
+                        assert type(endo) is tuple
+                        # the scalar terms, the only traced ones, are
+                        # exactly those with mask 0
+                        assert (mask == 0) == (
+                            not fam.trace(CE({key: c})).is_zero())
+                        keys += 1
+        assert keys
+
+    @pytest.mark.parametrize("key", [((), ()), ((("C", 1),), ()), (4096, ()),
+                                     (-1, ()), (True, ()), (1.0, ())],
+                             ids=["empty-tuple", "word-tuple", "4096", "-1",
+                                  "bool", "float"])
+    def test_stale_key_rejected(self, key):
+        with pytest.raises(TypeError, match="12-bit int mask"):
+            CE({key: 1})
 
 
 def _random_element(rng, gens, max_words=3, max_len=3):
@@ -169,11 +247,15 @@ class TestTraces:
                                   lambda: normal_form([["C", 1]]),
                                   lambda: normal_form([("C", [1])]),
                                   lambda: CE.c(1.5),
-                                  lambda: CE.word([("C", 2), ("CH", 0)])],
+                                  lambda: CE.word([("C", 2), ("CH", 0)]),
+                                  lambda: CE.word(g for g in [("C", 1),
+                                                              ("X", 2)])],
                          ids=["c7", "c0", "kind", "not-a-pair", "list",
-                              "unhashable-index", "float-index", "ch0"])
+                              "unhashable-index", "float-index", "ch0",
+                              "one-shot-iterator"])
 def test_bad_generators_rejected(make):
-    # never a bare TypeError, also for an unhashable generator
+    # never a bare TypeError, also for an unhashable generator; raised from
+    # the generator in hand, so a one-shot iterator is not read again
     with pytest.raises(ValueError, match="bad Clifford generator"):
         make()
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from references import dense, sphere_moment_numeric
+from references import dense, sphere_moment_numeric, word_mask
 from wresbd import ring
 from wresbd.boundary import (CASES, assemble, case_factor_pairs,
                              evaluate_case)
@@ -164,7 +164,8 @@ def test_pair_trace_matches_matrix_product(rep, kinds):
                   for n in rng.integers(0, 5, size=2))
         want = np.trace(dense(word_matrix(w1, rep))
                         @ dense(word_matrix(w2, rep)))
-        assert abs(_pair_trace(w1, w2, rep) - want) <= 1e-12
+        assert abs(_pair_trace(word_mask(w1), word_mask(w2), rep)
+                   - want) <= 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 7))
