@@ -10,8 +10,9 @@ status is 0 when every entry agrees with the oracle, 1 when one does not,
 and 2 on bad input, which is reported before any computation, or when the
 report cannot be written.
 
-Seeds are nonnegative integers; they default to the WRESBD_SEEDS
-environment variable (comma-separated) and then to "1,2,3".
+Seeds are nonnegative integers in ASCII decimal digits; they default to
+the WRESBD_SEEDS environment variable (comma-separated) and then to
+"1,2,3".
 """
 
 import argparse
@@ -28,17 +29,15 @@ _CASE_IDS = tuple(c.case_id for c in CASES)
 
 
 def _parse_seeds(text):
-    try:
-        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "seeds must be a comma-separated list of integers: %r" % text)
+    seeds = [s.strip() for s in text.split(",") if s.strip() != ""]
     if not seeds:
         raise argparse.ArgumentTypeError("at least one seed is required")
-    if min(seeds) < 0:
+    # ASCII digits only: int() would also read "1_0" as 10 and "\u0661" as 1
+    if not all(s.isascii() and s.isdigit() for s in seeds):
         raise argparse.ArgumentTypeError(
-            "seeds must be nonnegative: %r" % text)
-    return seeds
+            "seeds must be comma-separated nonnegative integers in ASCII "
+            "digits: %r" % text)
+    return [int(s) for s in seeds]
 
 
 def _build_parser():

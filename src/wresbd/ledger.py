@@ -22,7 +22,7 @@ from . import boundary
 from .boundary import CASES, evaluate_case, substitute_K
 from .catalog import FAMILIES
 from .clifford import trace_ext_degree
-from .oracle import OracleAssignment, ext_degree_trace, oracle_case
+from .oracle import OracleAssignment, ext_degree_trace, oracle_cases
 from .refdata import INTERIOR_TERMS, PUBLISHED
 from .ring import Scalar
 
@@ -120,7 +120,7 @@ def build_ledger(family, seeds, case_ids=None):
         # called through the module, so a patched builder is the one used
         pairs = boundary.case_factor_pairs(family, case)
         res = evaluate_case(family, case, pairs)
-        oracle = [oracle_case(family, case, a, pairs) for a in assignments]
+        oracle = oracle_cases(family, case, assignments, pairs)
         if len(res.blocks) > 1:
             for name, bval in res.blocks.items():
                 add(case.case_id, name, bval, [ob[name] for ob, _ in oracle])

@@ -21,11 +21,14 @@ engine does something nontrivial:
 
 Both integrals are linear, so the oracle takes them in the other order:
 sphere moments of each traced term first, then one quadrature per block
-and pole key.  It turns each factor coefficient into floats once and
-integrates products of them numerically, so it never forms the engine's
-exact Scalar product.  The representation matrices, and the per-degree
-exterior traces of the (5.29) ledger entry, are defined here and nowhere
-else.
+and pole key.  It lowers each factor pair once for all seeds: it decodes
+every coefficient into XI exponents, an exact value and its other
+symbols, and takes the trace of each word pair and the sphere moment of
+each row pair.  Each seed then only evaluates the rows and the fibre
+traces and sums the products numerically, so the oracle never forms the
+engine's exact Scalar product.  The representation matrices, and the
+per-degree exterior traces of the (5.29) ledger entry, are defined here
+and nowhere else.
 
 The factor symbols come from the engine's own ``case_factor_pairs``, so
 a fault in the catalog, pi+, the restriction, d/dx_n or d/dxi_n reaches
@@ -45,8 +48,8 @@ from .catalog import FAMILIES
 from .clifford import EXT_DIM, SPIN_DIM
 from .ring import XI_SYMBOLS
 
-__all__ = ["OracleAssignment", "oracle_case", "rep_matrix", "word_matrix",
-           "ext_degree_trace"]
+__all__ = ["OracleAssignment", "oracle_case", "oracle_cases", "rep_matrix",
+           "word_matrix", "ext_degree_trace"]
 
 _ALL_ENDO_FAMS = ("sigmaF", "Phi", "PhiStar", "sigmaFe", "w", "wStar")
 
@@ -270,29 +273,6 @@ def _moment(exps):
             / _SUM_GAMMA[sum(exps)])
 
 
-def _numeric_coeff(scalar, env):
-    """A Scalar as [(XI exponents, complex value)], one row per term.
-
-    Every symbol other than XI1..XI5 is looked up in `env`.
-    """
-    rows = []
-    for mono, c in scalar.monomials():
-        exps, v = [0] * 5, c.value()
-        for sym, e in mono:
-            if sym in _XI_INDEX:
-                exps[_XI_INDEX[sym]] = e
-            else:
-                v *= env[sym] ** e
-        rows.append((exps, v))
-    return rows
-
-
-def _sphere_product(first, second):
-    """Integral over the unit 4-sphere of the product of two numeric coeffs."""
-    return sum(v1 * v2 * _moment([a + b for a, b in zip(e1, e2)])
-               for e1, v1 in first for e2, v2 in second)
-
-
 @lru_cache(maxsize=None)
 def _pair_trace(m1, m2, rep):
     """tr(M(m1) M(m2)) of two word masks, without forming the product."""
@@ -301,40 +281,83 @@ def _pair_trace(m1, m2, rep):
                        if p1[t] == s))
 
 
-def _numeric_terms(sym, env):
-    """[(pole key, [[(word mask, endo word, numeric coeff)] per degree])]."""
-    return [(key, [[(m, e, _numeric_coeff(s, env))
-                    for (m, e), s in ce.terms.items()] for ce in poly])
-            for key, poly in sym.terms.items()]
+def _lower_factor(sym, rows):
+    """[(pole key, [[(word mask, endo word, coeff)] per degree])].
 
-
-def _pair_integrand_polys(fsym, ssym, rep, assignment):
-    """The sphere-integrated numeric trace of one factor product.
-
-    Returns a dict mapping the pole key (A, B) -- denominator
-    (xi_n - i)^A (xi_n + i)^B -- to the list of complex xi_n-polynomial
-    coefficients of the numerator.
+    Each coefficient becomes a list of (row index, XI exponents), one per
+    term; the row, appended to `rows`, is the term's exact value and its
+    other (symbol, exponent) pairs.
     """
-    first = _numeric_terms(fsym, assignment.env)
-    second = _numeric_terms(ssym, assignment.env)
-    out = {}
+    out = []
+    for key, poly in sym.terms.items():
+        degrees = []
+        for ce in poly:
+            coeffs = []
+            for (m, e), s in ce.terms.items():
+                coeff = []
+                for mono, c in s.monomials():
+                    exps, rest = [0] * 5, []
+                    for name, k in mono:
+                        if name in _XI_INDEX:
+                            exps[_XI_INDEX[name]] = k
+                        else:
+                            rest.append((name, k))
+                    coeff.append((len(rows), exps))
+                    rows.append((c.value(), rest))
+                coeffs.append((m, e, coeff))
+            degrees.append(coeffs)
+        out.append((key, degrees))
+    return out
+
+
+def _pair_integrand_polys(fsym, ssym, rep, assignments):
+    """The sphere-integrated numeric trace of one factor product per seed.
+
+    Returns one dict per assignment, mapping the pole key (A, B) --
+    denominator (xi_n - i)^A (xi_n + i)^B -- to the list of complex
+    xi_n-polynomial coefficients of the numerator.  Everything that does
+    not depend on the seed -- the decoded coefficients, the traces of the
+    word pairs and the sphere moments of the row pairs -- is taken once,
+    before the first seed.
+    """
+    rows = []
+    first, second = _lower_factor(fsym, rows), _lower_factor(ssym, rows)
+    keys, words, terms = {}, {}, []
     for k1, p1 in first:
         for k2, p2 in second:
-            poly = out.setdefault((k1[0] + k2[0], k1[1] + k2[1]), [])
+            key = keys.setdefault((k1[0] + k2[0], k1[1] + k2[1]), len(keys))
             for i1, c1 in enumerate(p1):
                 for i2, c2 in enumerate(p2):
-                    deg = i1 + i2
                     for m1, e1, n1 in c1:
                         for m2, e2, n2 in c2:
                             tc = _pair_trace(m1, m2, rep)
                             if abs(tc) < 1e-14:
                                 continue
-                            te = assignment.endo_trace(e1 + e2)
-                            if te == 0.0:
-                                continue
-                            if len(poly) <= deg:
-                                poly.extend([0j] * (deg + 1 - len(poly)))
-                            poly[deg] += _sphere_product(n1, n2) * tc * te
+                            word = words.setdefault(e1 + e2, len(words))
+                            terms.append((key, i1 + i2, word, tc, [
+                                (r1, r2, _moment([a + b for a, b
+                                                  in zip(x1, x2)]))
+                                for r1, x1 in n1 for r2, x2 in n2]))
+    out = []
+    for assignment in assignments:
+        env = assignment.env
+        values = []
+        for v, rest in rows:
+            for name, k in rest:
+                v *= env[name] ** k
+            values.append(v)
+        traces = [assignment.endo_trace(w) for w in words]
+        polys = [[] for _ in keys]
+        for key, deg, word, tc, pairs in terms:
+            te = traces[word]
+            if te == 0.0:
+                continue
+            poly = polys[key]
+            if len(poly) <= deg:
+                poly.extend([0j] * (deg + 1 - len(poly)))
+            poly[deg] += sum(values[r1] * values[r2] * mom
+                             for r1, r2, mom in pairs) * tc * te
+        out.append(dict(zip(keys, polys)))
     return out
 
 
@@ -383,23 +406,31 @@ def _line_integral_numeric(poly, key):
     return quad(f)[0]
 
 
-def oracle_case(family, case, assignment, pairs=None):
-    """Numeric value of one boundary case, with per-block breakdown.
+def oracle_cases(family, case, assignments, pairs=None):
+    """Numeric value of one boundary case at each assignment.
 
-    Returns (blocks, total) where blocks maps block name to a complex
-    number and total is their sum; directly comparable to the exact
-    CaseResult evaluated at the same assignment.  `pairs` is the case's
-    ``case_factor_pairs``, one pair per block and no blocks for aI, built
-    here when None.
+    Returns one (blocks, total) per assignment, where blocks maps block
+    name to a complex number and total is their sum; directly comparable
+    to the exact CaseResult evaluated at the same assignment.  `pairs` is
+    the case's ``case_factor_pairs``, one pair per block and no blocks for
+    aI, built here when None.  Each pair is lowered once for all the
+    assignments.
     """
     family = FAMILIES[family] if isinstance(family, str) else family
     if pairs is None:
         pairs = case_factor_pairs(family, case)
     n = case.nalpha + case.j + case.k + 1
     pref = (-1j) ** n / math.factorial(case.j + case.k + 1)  # alpha! = 1
-    blocks = {name: pref * sum(
-        (_line_integral_numeric(poly, key) for key, poly in
-         _pair_integrand_polys(fsym, ssym, family.rep, assignment).items()
-         if any(poly)), 0j)
-        for name, (fsym, ssym) in pairs.items()}
-    return blocks, sum(blocks.values(), 0j)
+    blocks = [{} for _ in assignments]
+    for name, (fsym, ssym) in pairs.items():
+        for out, polys in zip(blocks, _pair_integrand_polys(
+                fsym, ssym, family.rep, assignments)):
+            out[name] = pref * sum(
+                (_line_integral_numeric(poly, key)
+                 for key, poly in polys.items() if any(poly)), 0j)
+    return [(out, sum(out.values(), 0j)) for out in blocks]
+
+
+def oracle_case(family, case, assignment, pairs=None):
+    """``oracle_cases`` at one assignment: (blocks, total)."""
+    return oracle_cases(family, case, [assignment], pairs)[0]

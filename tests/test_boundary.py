@@ -326,7 +326,8 @@ def test_pair_value_matches_the_oracle_on_random_pairs(fam):
         first, second = _random_pair(rng, fam)
         exact = _pair_value(family, first, second)
         want = exact.evaluate(_env_with_pair_traces(exact, assignment))
-        polys = _pair_integrand_polys(first, second, family.rep, assignment)
+        polys, = _pair_integrand_polys(first, second, family.rep,
+                                       [assignment])
         got = sum((_line_integral_numeric(poly, key)
                    for key, poly in polys.items() if any(poly)), 0j)
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))

@@ -99,6 +99,25 @@ def test_negative_seed_is_usage_error(no_ledger, capsys):
     assert "nonnegative" in err
 
 
+# int() reads both: "1_0" as 10, and the Arabic-Indic digit one as 1
+NOT_ASCII_DIGITS = ["1_0", "\u0661"]
+
+
+@pytest.mark.parametrize("seeds", NOT_ASCII_DIGITS)
+def test_seed_not_in_ascii_digits_is_usage_error(no_ledger, capsys, seeds):
+    err = _usage_error(capsys, ["verify", "--family", "dirac", "--seeds",
+                                "1," + seeds])
+    assert "ASCII digits" in err
+
+
+@pytest.mark.parametrize("seeds", NOT_ASCII_DIGITS)
+def test_env_seed_not_in_ascii_digits_is_usage_error(no_ledger, capsys,
+                                                     monkeypatch, seeds):
+    monkeypatch.setenv("WRESBD_SEEDS", seeds)
+    err = _usage_error(capsys, ["verify", "--family", "dirac"])
+    assert "WRESBD_SEEDS" in err and "ASCII digits" in err
+
+
 def test_bad_env_seeds_is_usage_error(no_ledger, capsys, monkeypatch):
     monkeypatch.setenv("WRESBD_SEEDS", "x")
     err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",

@@ -107,10 +107,11 @@ def test_empty_case_selection_rejected(case_ids):
 
 def test_factor_pairs_built_once_per_case(monkeypatch):
     # the engine and every oracle seed of a case read the one set of
-    # pairs the ledger built for it
+    # pairs the ledger built for it, and the oracle takes all the seeds
+    # of a case in one call
     build = boundary.case_factor_pairs
-    evaluate, oracle = ledger.evaluate_case, ledger.oracle_case
-    built, passed = [], {}
+    evaluate, oracle = ledger.evaluate_case, ledger.oracle_cases
+    built, passed, oracle_calls = [], {}, []
 
     def record_build(family, case):
         built.append(build(family, case))
@@ -120,14 +121,16 @@ def test_factor_pairs_built_once_per_case(monkeypatch):
         passed[case.case_id] = [pairs]
         return evaluate(family, case, pairs)
 
-    def record_oracle(family, case, assignment, pairs=None):
-        passed[case.case_id].append(pairs)
-        return oracle(family, case, assignment, pairs)
+    def record_oracle(family, case, assignments, pairs=None):
+        oracle_calls.append(case.case_id)
+        passed[case.case_id] += [pairs for _ in assignments]
+        return oracle(family, case, assignments, pairs)
 
     monkeypatch.setattr(boundary, "case_factor_pairs", record_build)
     monkeypatch.setattr(ledger, "evaluate_case", record_evaluate)
-    monkeypatch.setattr(ledger, "oracle_case", record_oracle)
+    monkeypatch.setattr(ledger, "oracle_cases", record_oracle)
     build_ledger("dirac", [1, 2])
     assert len(built) == 5 and len(passed) == 5
+    assert oracle_calls == list(passed)
     for pairs, used in zip(built, passed.values()):
         assert len(used) == 3 and all(p is pairs for p in used)

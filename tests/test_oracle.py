@@ -11,11 +11,13 @@ from wresbd import ring
 from wresbd.boundary import (CASES, assemble, case_factor_pairs,
                              evaluate_case)
 from wresbd.catalog import FAMILIES
+from wresbd.clifford import CliffordElement as CE
 from wresbd.oracle import (_MAX_XI_EXP, OracleAssignment, _moment,
-                           _numeric_coeff, _pair_integrand_polys,
-                           _pair_trace, _sphere_product, default_rng,
-                           oracle_case, quad, rep_matrix, word_matrix)
+                           _pair_integrand_polys, _pair_trace, default_rng,
+                           oracle_case, oracle_cases, quad, rep_matrix,
+                           word_matrix)
 from wresbd.ring import GRat, Scalar, sphere_integrate, sphere_moment
+from wresbd.symbols import RationalSymbol
 
 OMEGA4 = 8.0 * math.pi ** 2 / 3.0
 
@@ -49,13 +51,17 @@ def test_numeric_sphere_integral_matches_exact():
         (xi[3] * xi[3] * Scalar.sym("XI5", 2) + Scalar.sym("XI5", 4)) * dimf
         * Scalar.sym("SH", 3) + xi[1] * Scalar.sym("PI"),
     ]
-    for seed in (1, 2):
-        env = OracleAssignment(seed).env
-        for s1, s2 in itertools.product(scalars, repeat=2):
-            exact = complex(sphere_integrate(s1 * s2).evaluate(env))
-            got = _sphere_product(_numeric_coeff(s1, env),
-                                  _numeric_coeff(s2, env))
-            assert _close(got, exact, 1e-12), (s1, s2)
+    assignments = [OracleAssignment(1), OracleAssignment(2)]
+    for s1, s2 in itertools.product(scalars, repeat=2):
+        # one term per factor with the empty word: the integrand is the
+        # sphere integral times tr(1) = 8 and the fibre trace dim F
+        first, second = (RationalSymbol(True, {(1, 1): [CE.scalar(s)]})
+                         for s in (s1, s2))
+        polys = _pair_integrand_polys(first, second, "spin", assignments)
+        for a, got in zip(assignments, polys):
+            exact = complex(sphere_integrate(s1 * s2).evaluate(a.env))
+            assert list(got) == [(2, 2)], (s1, s2)
+            assert _close(got[(2, 2)][0], exact * 8 * a.dimf, 1e-12), (s1, s2)
 
 
 @pytest.mark.parametrize("exps", [
@@ -204,19 +210,20 @@ def test_quad_rejects_a_nonintegrable_integrand():
 
 def test_integrand_does_not_multiply_scalars(monkeypatch):
     family = FAMILIES["dirac"]
-    assignment = OracleAssignment(1)
+    assignments = [OracleAssignment(1), OracleAssignment(2)]
     pairs = [p for case in CASES
              for p in case_factor_pairs(family, case).values()]
-    want = [_pair_integrand_polys(fsym, ssym, family.rep, assignment)
+    want = [_pair_integrand_polys(fsym, ssym, family.rep, assignments)
             for fsym, ssym in pairs]
 
     def refuse(*args):
         raise AssertionError("the oracle formed an exact Scalar product")
 
     monkeypatch.setattr(ring.Scalar, "__mul__", refuse)
-    got = [_pair_integrand_polys(fsym, ssym, family.rep, assignment)
+    got = [_pair_integrand_polys(fsym, ssym, family.rep, assignments)
            for fsym, ssym in pairs]
-    assert got == want and any(any(poly) for polys in got
+    assert got == want and any(any(poly) for per_seed in got
+                               for polys in per_seed
                                for poly in polys.values())
 
 
@@ -267,3 +274,37 @@ def test_engine_matches_oracle_per_block(fam, seed):
                                                              name)
         exact_total = complex(exact.value.evaluate(assignment.env))
         assert abs(exact_total - total) <= 1e-8 * max(abs(total), 1.0)
+
+
+@pytest.mark.parametrize("fam", ["dirac", "signature"])
+def test_batched_seeds_match_single_seeds(fam):
+    # exact equality: a batch evaluates each seed exactly as alone, and a
+    # repeated seed reads nothing left over from the seeds before it
+    seeds = [1, 2, 3, 1]
+    for case in CASES:
+        pairs = case_factor_pairs(fam, case)
+        got = oracle_cases(fam, case, [OracleAssignment(s) for s in seeds],
+                           pairs)
+        want = [oracle_case(fam, case, OracleAssignment(s), pairs)
+                for s in seeds]
+        assert got == want, case.case_id
+
+
+def test_seed_free_work_runs_once(monkeypatch):
+    # the coefficients are decoded once per pair, not once per seed
+    family, case = FAMILIES["signature"], CASES[-1]
+    pairs = case_factor_pairs(family, case)
+    monomials, calls = ring.Scalar.monomials, []
+
+    def counted(self):
+        calls.append(self)
+        return monomials(self)
+
+    monkeypatch.setattr(ring.Scalar, "monomials", counted)
+    counts = []
+    for seeds in ([1], [1, 2, 3]):
+        calls.clear()
+        oracle_cases(family, case, [OracleAssignment(s) for s in seeds],
+                     pairs)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
