@@ -15,62 +15,12 @@ Layers, bottom to top, on the standard library only:
   the only home of the spin and exterior representation matrices;
 * :mod:`wresbd.ledger` / :mod:`wresbd.cli` -- verification reports.
 
-Importing the package loads neither the ledger nor the oracle: their
-names are imported on first use.
+The package exports the exact engine's entry points, ``assemble`` and
+``substitute_K``.  Every other name is read from its module: the report
+functions ``build_ledger``, ``render_text`` and ``render_json`` from
+:mod:`wresbd.ledger`, which importing the package does not load.
 """
 
-import importlib
+from .boundary import assemble, substitute_K
 
-from .boundary import (CASES, BoundaryCase, CaseResult, assemble,
-                       evaluate_case, substitute_K)
-from .catalog import (DIRAC, FAMILIES, SIGNATURE, OperatorFamily,
-                      cubed_sigma, first_order_sigma)
-from .clifford import CliffordElement, normal_form, trace_ext, trace_spin
-from .ring import GRat, Scalar, sphere_integrate, sphere_moment
-from .symbols import NotIntegrable, RationalSymbol, integrate_line, pi_plus
-
-# the numeric names, imported on first use (PEP 562)
-_LAZY = {"build_ledger": "ledger", "render_json": "ledger",
-         "render_text": "ledger", "OracleAssignment": "oracle",
-         "ext_degree_trace": "oracle", "oracle_case": "oracle"}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    return getattr(importlib.import_module("." + _LAZY[name], __name__), name)
-
-
-__all__ = [
-    "BoundaryCase",
-    "CASES",
-    "CaseResult",
-    "CliffordElement",
-    "DIRAC",
-    "FAMILIES",
-    "GRat",
-    "NotIntegrable",
-    "OperatorFamily",
-    "OracleAssignment",
-    "RationalSymbol",
-    "SIGNATURE",
-    "Scalar",
-    "assemble",
-    "build_ledger",
-    "cubed_sigma",
-    "evaluate_case",
-    "ext_degree_trace",
-    "first_order_sigma",
-    "integrate_line",
-    "normal_form",
-    "oracle_case",
-    "pi_plus",
-    "render_json",
-    "render_text",
-    "sphere_integrate",
-    "sphere_moment",
-    "substitute_K",
-    "trace_ext",
-    "trace_spin",
-]
+__all__ = ["assemble", "substitute_K"]

@@ -29,7 +29,7 @@ arithmetic is exact (Gaussian rationals).
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import CliffordElement as CE
@@ -48,16 +48,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundaryCase:
-    """One admissible multi-index combination of the boundary sum."""
+class BoundaryCase(namedtuple("BoundaryCase", "case_id r ell j k nalpha")):
+    """One admissible multi-index combination of the boundary sum;
+    ``nalpha`` is |alpha|, and only 0 and 1 occur."""
 
-    case_id: str
-    r: int
-    ell: int
-    j: int
-    k: int
-    nalpha: int  # |alpha|; only 0 and 1 occur
+    __slots__ = ()
 
     def prefactor(self):
         """(-i)^(|alpha|+j+k+1) / (alpha!(j+k+1)!) as an exact Scalar."""
@@ -67,13 +62,8 @@ class BoundaryCase:
                                 / math.factorial(self.j + self.k + 1))
 
 
-@dataclass
-class CaseResult:
-    """Exact outcome of one boundary case."""
-
-    case: "BoundaryCase"
-    value: Scalar
-    blocks: dict = field(default_factory=dict)
+# exact outcome of one boundary case: its value and {block: value}
+CaseResult = namedtuple("CaseResult", "case value blocks")
 
 
 # the five solutions of the order constraint (module docstring), in

@@ -10,7 +10,8 @@ status is 0 when every entry agrees with the oracle, 1 when one does not,
 and 2 on bad input, which is reported before any computation, or when the
 report cannot be written.
 
-Seeds are nonnegative integers in ASCII decimal digits; they default to
+Seeds are nonnegative integers in ASCII decimal digits, at most
+sys.get_int_max_str_digits() of them (4300 by default); they default to
 the WRESBD_SEEDS environment variable (comma-separated) and then to
 "1,2,3".
 """
@@ -37,7 +38,12 @@ def _parse_seeds(text):
         raise argparse.ArgumentTypeError(
             "seeds must be comma-separated nonnegative integers in ASCII "
             "digits: %r" % text)
-    return [int(s) for s in seeds]
+    try:
+        return [int(s) for s in seeds]
+    except ValueError:  # over sys.get_int_max_str_digits() digits
+        raise argparse.ArgumentTypeError(
+            "seeds must have at most %d ASCII digits"
+            % sys.get_int_max_str_digits()) from None
 
 
 def _build_parser():
@@ -78,7 +84,7 @@ def main(argv=None):
     # opened after every other input is checked, so bad seeds never
     # truncate an existing report, and before any computation
     try:
-        out = (open(args.out, "w") if args.out
+        out = (open(args.out, "w") if args.out is not None
                else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
         parser.error("argument --out: %s" % exc)

@@ -179,9 +179,6 @@ class CliffordElement:
     def __sub__(self, other):
         return self.__add__(-other)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GRat, Scalar)):
             c0 = Scalar._coerce(other)

@@ -347,9 +347,6 @@ class Scalar:
     def __sub__(self, other):
         return self.__add__(-other)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         """Monomials multiply by int addition, coefficients on the GRat
         integers."""
@@ -406,38 +403,30 @@ class Scalar:
         return _scalar(out)
 
     def substitute(self, mapping):
-        """Replace symbols by Scalars (other symbols pass through).
-
-        A constant replacement, such as SH = 1 at restriction, scales the
-        coefficient; only a non-constant one is multiplied in, so it may
-        replace positive powers only (a negative one raises ValueError).
-        """
+        """Replace symbols by constants or single terms c*m, all at once
+        (exponents are read from the original monomial; other symbols pass
+        through).  A power e scales the coefficient by c**e for either sign
+        of e, so a zero constant drops its symbol's monomials; a replacement
+        of two or more terms raises ValueError."""
         reps = []
-        for s, rep in sorted(mapping.items(), key=_pair_rank):
+        for s, rep in mapping.items():
             rep = Scalar._coerce(rep)
+            if len(rep.terms) > 1:
+                raise ValueError("cannot substitute the %d-term %s for %s"
+                                 % (len(rep.terms), rep, s))
             if s in _SHIFT:
-                k = (_coerce(rep.terms.get(0, 0))
-                     if rep.terms.keys() <= {0} else None)
-                reps.append((s, _SHIFT[s], rep, k))
+                rm, k = next(iter(rep.terms.items()), (0, GRat()))
+                reps.append((s, rm - (1 << _SHIFT[s]), k))
         out = {}
-        for m, c in self.terms.items():
-            factors = []
-            for s, shift, rep, k in reps:
-                e = _exponent(m, s)
-                if not e:
-                    continue
-                m -= e << shift
-                if k is None:
-                    if e < 0:
-                        raise ValueError("cannot substitute the non-constant "
-                                         "%s into %s**%d" % (rep, s, e))
-                    factors += [rep] * e
-                elif k != 1:
-                    c = c * k ** e if e > 0 else c / k ** -e
-            term = Scalar({m: c})
-            for rep in factors:
-                term = term * rep
-            for m, c in term.terms.items():
+        for m0, c in self.terms.items():
+            m = m0
+            for s, dm, k in reps:
+                e = _exponent(m0, s)
+                if e:
+                    m += e * dm
+                    if k != 1:  # SH = 1 at restriction multiplies nothing
+                        c = c * k ** e if e > 0 else c / k ** -e
+            if c:
                 _add_term(out, m, c)
         return _scalar(out)
 

@@ -99,8 +99,11 @@ def test_negative_seed_is_usage_error(no_ledger, capsys):
     assert "nonnegative" in err
 
 
-# int() reads both: "1_0" as 10, and the Arabic-Indic digit one as 1
-NOT_ASCII_DIGITS = ["1_0", "\u0661"]
+# int() reads the first two: "1_0" as 10, and the Arabic-Indic digit one as
+# 1; it refuses the third, over the default limit of 4300 digits, with a
+# ValueError
+NOT_ASCII_DIGITS = ["1_0", "\u0661",
+                    pytest.param("9" * 5000, id="5000_digits")]
 
 
 @pytest.mark.parametrize("seeds", NOT_ASCII_DIGITS)
@@ -140,6 +143,13 @@ def test_unwritable_out_is_usage_error(no_ledger, capsys, tmp_path):
     path = tmp_path / "missing" / "report.txt"
     err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",
                                 "aI", "--out", str(path)])
+    assert "--out" in err
+
+
+def test_empty_out_is_usage_error(no_ledger, capsys):
+    # an empty path is not standard output
+    err = _usage_error(capsys, ["verify", "--family", "dirac", "--case",
+                                "aI", "--out", ""])
     assert "--out" in err
 
 

@@ -3,10 +3,11 @@
 Parses each module and follows its imports inside the package, so a
 numeric dependency pulled in through another module also counts; runs
 the package and `wresbd verify` in a fresh interpreter to check that
-they load neither numpy nor scipy; and checks that importing the package loads neither the
-ledger nor the oracle.  Also checks that the command line reaches every
-module and that `wresbd verify` enters every module-level function, so
-code that only the tests use lives under tests/, that every name the
+they load neither numpy nor scipy, nor dataclasses or inspect, and that
+importing the package loads neither the ledger nor the oracle.  Also
+checks that the command line reaches every module and that `wresbd
+verify` enters every module-level function and method, so code that only
+the tests use lives under tests/, that every name the
 benchmark's tracer hooks still exists, and that no module imports a name
 it never uses.
 """
@@ -95,30 +96,63 @@ print(json.dumps([codes, sorted(
     for c in entered if Path(c.co_filename).parent == pkg)]))
 """
 
-# module-level functions that verify need not enter
+# module-level functions and methods that verify need not enter
 _NOT_RUN_BY_VERIFY = {
     # the library entry, and the benchmark's assemble workload
     "boundary.assemble",
     # the one-seed library entry, which the benchmark's check calls; the
     # ledger evaluates all seeds of a case with oracle_cases
     "oracle.oracle_case",
-    # resolves the package's lazy oracle and ledger names for library
-    # callers; cli imports those modules directly (the import system only
-    # probes it for the submodule name)
-    "__init__.__getattr__",
+    # equality and hashing: the tests compare exact values with them, and
+    # without __eq__ an `assert a != b` would pass for any two objects
+    "clifford.CliffordElement.__eq__",
+    "clifford.CliffordElement.__hash__",
+    "ring.GRat.__hash__",
+    "ring.Scalar.__eq__",
+    "ring.Scalar.__hash__",
+    # the rest of GRat's ring protocol, which the tests check against
+    # pairs of Fractions
+    "ring.GRat.__rsub__",
+    "ring.GRat.__str__",
+    "ring.GRat.__sub__",
+    # the linear sugar that tests/references.py composes symbols with
+    "symbols.RationalSymbol.__neg__",
+    "symbols.RationalSymbol.__rsub__",
+    "symbols.RationalSymbol.__sub__",
+    "symbols.RationalSymbol.constant",
+    "symbols.RationalSymbol.is_zero",
+    "symbols.RationalSymbol.zero",
+    # the text of a failed assertion or of an interactive session
+    "catalog.OperatorFamily.__repr__",
+    "clifford.CliffordElement.__repr__",
+    "ring.GRat.__repr__",
+    "ring.Scalar.__repr__",
+    "symbols.RationalSymbol.__repr__",
 }
 
 
+def _functions(tree, module):
+    """Qualified names of a module's functions and its classes' methods, as
+    a code object's co_qualname spells them."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.add("%s.%s" % (module, node.name))
+        elif isinstance(node, ast.ClassDef):
+            out |= _functions(node, "%s.%s" % (module, node.name))
+    return out
+
+
 def test_cli_reaches_every_module():
-    # a module or function that only the tests use belongs under tests/
+    # a module, function or method that only the tests use belongs under
+    # tests/, unless _NOT_RUN_BY_VERIFY says why it stays
     modules = {p.stem for p in PKG.glob("*.py")} - {"__init__"}
     assert modules - _reachable("cli")[0] == set()
-    functions = {"%s.%s" % (p.stem, node.name)
-                 for p in PKG.glob("*.py")
-                 for node in ast.parse(p.read_text()).body
-                 if isinstance(node, ast.FunctionDef)}
+    functions = set().union(*(_functions(ast.parse(p.read_text()), p.stem)
+                              for p in PKG.glob("*.py")))
     codes, entered = json.loads(_run_python(_VERIFY_ENTERED))
     assert codes == [0, 0]
+    assert _NOT_RUN_BY_VERIFY <= functions
     assert functions - set(entered) <= _NOT_RUN_BY_VERIFY
 
 
@@ -135,57 +169,28 @@ def test_oracle_is_where_numpy_lives():
         assert not _reachable(module)[1] & NUMERIC, module
 
 
-# the numeric packages loaded after importing the package and assembling,
-# after reaching the lazy ledger name, and after verify for both families
+# the ledger and oracle modules loaded by importing the package; then the
+# numeric packages, and the dataclasses and inspect modules, loaded after
+# assembling, after importing the ledger, and after verify for both families
 _VERIFY_LOADED = """
 import contextlib, io, json, sys
 import wresbd
-from wresbd import cli
+at_import = [m for m in ("wresbd.ledger", "wresbd.oracle") if m in sys.modules]
 loaded = lambda: sorted(m for m in %r if m in sys.modules)
 wresbd.assemble("dirac")
-at_import = loaded()
-wresbd.build_ledger
+at_assemble = loaded()
+import wresbd.ledger
 at_ledger = loaded()
+from wresbd import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["verify", "--family", family, "--seeds", "1"])
              for family in ("dirac", "signature")]
-print(json.dumps([at_import, at_ledger, codes, loaded()]))
-""" % sorted(NUMERIC)
+print(json.dumps([at_import, at_assemble, at_ledger, codes, loaded()]))
+""" % sorted(NUMERIC | {"dataclasses", "inspect"})
 
 
 def test_package_and_engine_leave_numpy_and_scipy_unloaded():
-    assert json.loads(_run_python(_VERIFY_LOADED)) == [[], [], [0, 0], []]
-
-
-# the package's lazy names, resolved in a fresh interpreter; the modules
-# behind them, loaded before and after
-_LAZY_RESOLVED = """
-import importlib, json, sys
-import wresbd
-LAZY_MODULES = ("wresbd.ledger", "wresbd.oracle")
-loaded_at_import = [m for m in LAZY_MODULES if m in sys.modules]
-same = {name: getattr(wresbd, name)
-        is getattr(importlib.import_module("wresbd." + module), name)
-        for name, module in wresbd._LAZY.items()}
-try:
-    wresbd.no_such_name
-    error = None
-except AttributeError as exc:
-    error = str(exc)
-print(json.dumps([loaded_at_import, same,
-                  [m for m in LAZY_MODULES if m in sys.modules], error]))
-"""
-
-
-def test_lazy_package_names_resolve_on_first_use():
-    # README's Library section reads the oracle and ledger names from the
-    # package itself; every name in __all__ that the package does not bind
-    # at import is one of them
-    before, same, after, error = json.loads(_run_python(_LAZY_RESOLVED))
-    assert before == [] and after == ["wresbd.ledger", "wresbd.oracle"]
-    assert set(same) == set(wresbd.__all__) - set(vars(wresbd))
-    assert all(same.values()), same
-    assert "'no_such_name'" in error
+    assert json.loads(_run_python(_VERIFY_LOADED)) == [[], [], [], [0, 0], []]
 
 
 def test_every_benchmark_hook_resolves():

@@ -372,10 +372,19 @@ class TestScalarRing:
         out = s.substitute({"H1": Scalar.rational(-2, 5) * S("K")})
         assert out == Scalar.rational(-2, 5) * S("K") * S("PI")
 
-    def test_negative_power_needs_a_constant_replacement(self):
-        with pytest.raises(ValueError, match="non-constant"):
-            S("H1", -1).substitute({"H1": S("K")})
+    def test_negative_power_of_a_single_term_replacement(self):
+        got = S("H1", -1).substitute({"H1": 2 * S("K")})
+        assert got == Scalar.rational(1, 2) * S("K", -1)
         assert S("H1", -2).substitute({"H1": 2}) == Scalar.rational(1, 4)
+        with pytest.raises(ValueError, match="2-term"):
+            S("H1").substitute({"H1": S("K") + 1})
+        with pytest.raises(ZeroDivisionError):
+            S("H1", -1).substitute({"H1": 0})
+        # all at once: exponents come from the original monomial, so the K
+        # that replaces H1 is not replaced in turn
+        s = 3 * S("H1", 2) * S("K", -1)
+        got = s.substitute({"H1": S("K"), "K": 2 * S("PI")})
+        assert got == Scalar.rational(3, 2) * S("K", 2) * S("PI", -1)
 
     def test_constant_substitution_cancels_and_restrict_drops_the_key(self):
         emptied = S("SH", 2) * S("XI1") - S("XI1")
