@@ -33,6 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import CliffordElement as CE
+from .clifford import _element, _mac
 from .catalog import FAMILIES, cubed_sigma, first_order_sigma
 from .ring import GRat, Scalar, sphere_integrate
 from .symbols import RationalSymbol, integrate_line, pi_plus
@@ -91,20 +92,27 @@ def _trace_symbol(family, first, second):
     by_word = {}
     for key, poly in second.terms.items():
         for j, ce in enumerate(poly):
-            for (w, e), c in ce.terms.items():
-                by_word.setdefault(w, []).append((key, j, CE({(w, e): c})))
-    out = {}
+            for w, terms in _split_by_word(ce).items():
+                by_word.setdefault(w, []).append((key, j, terms))
+    acc = {}
     for (a, b), poly in first.terms.items():
         for i, ce in enumerate(poly):
-            for (w, e), c in ce.terms.items():
-                left = CE({(w, e): c})
+            for w, left in _split_by_word(ce).items():
                 for (a2, b2), j, right in by_word.get(w, ()):
-                    acc = out.setdefault((a + a2, b + b2), {})
-                    acc[i + j] = acc.get(i + j, CE.zero()) + left * right
+                    p = acc.setdefault((a + a2, b + b2), [])
+                    p.extend({} for _ in range(i + j + 1 - len(p)))
+                    _mac(p[i + j], left, right)
     return RationalSymbol(True, {
-        key: [CE.scalar(family.trace(acc.get(d, CE.zero())))
-              for d in range(max(acc) + 1)]
-        for key, acc in out.items()})
+        key: [CE.scalar(family.trace(_element(t))) for t in p]
+        for key, p in acc.items()})
+
+
+def _split_by_word(ce):
+    """{word mask: the terms of ce with that word}."""
+    out = {}
+    for k, c in ce.terms.items():
+        out.setdefault(k[0], {})[k] = c
+    return out
 
 
 def _derived(sym, xn, xin):

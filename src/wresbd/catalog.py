@@ -194,7 +194,7 @@ def _remainder(top, inv):
     of a symbol with leading part top and inverse inv; tangential summands
     vanish at x_0.
     """
-    return inv * top.derive("xin") * inv.derive("xn") * Scalar.i()
+    return inv * Scalar.i() * top.derive("xin") * inv.derive("xn")
 
 
 def _parametrix(family, order, top):

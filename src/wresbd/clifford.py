@@ -27,13 +27,18 @@ One fibre-trace rule serves the 8-dimensional spin module (C only) and the
 contraction): only the empty word, mask 0, has a trace.  trace_ext_degree
 splits the exterior trace by form degree, exactly.  The representation
 matrices that check both rules live in the numeric oracle.
+
+Products accumulate in place through one primitive, _mac: out += t1 * t2
+on term dicts.  An accumulator holds only Scalars that it made itself, so
+adding into them changes no operand; a key whose sum cancels keeps an
+empty Scalar until _element drops it.
 """
 
 from fractions import Fraction
 from math import comb
 
-from .ring import (GRat, Scalar, _add_term, _coerce, _encode, _product,
-                   _scalar)
+from .ring import GRat, Scalar, _add_term, _coerce, _encode, _grat, _scalar
+from .ring import _mac as _coeff_mac
 
 __all__ = [
     "CliffordElement",
@@ -88,6 +93,52 @@ def _product_sign(m1, m2):
         odd += (m1 & _PAST[low.bit_length() - 1]).bit_count()
         m2 ^= low
     return -1 if odd & 1 else 1
+
+
+def _mac(out, t1, t2):
+    """out += t1 * t2 on term dicts {(mask, endomorphism word): Scalar},
+    and return out.
+
+    Masks multiply by XOR with _product_sign, endomorphism words by
+    concatenation, and the coefficients through ring._mac into the Scalar
+    that out holds at the key, made here on the key's first product.
+    """
+    for (m1, e1), c1 in t1.items():
+        x1 = c1.terms
+        for (m2, e2), c2 in t2.items():
+            endo = e1 + e2
+            if len(endo) > 2:
+                raise ValueError(
+                    "endomorphism word of length %d; the residue "
+                    "computation never needs more than two factors" % len(endo)
+                )
+            key = (m1 ^ m2, endo)
+            v = out.get(key)
+            if v is None:
+                v = out[key] = _scalar({})
+            _coeff_mac(v.terms, x1, c2.terms, _product_sign(m1, m2))
+    return out
+
+
+def _add(out, t):
+    """out += t on term dicts, and return out; a key new to out takes a
+    copy of t's Scalar, so that out adds into Scalars of its own."""
+    for k, c in t.items():
+        v = out.get(k)
+        if v is None:
+            out[k] = _scalar(dict(c.terms))
+        else:
+            v = v.terms
+            for m, x in c.terms.items():
+                _add_term(v, m, x)
+    return out
+
+
+def _element(out):
+    """The CliffordElement of an accumulator, its emptied Scalars dropped."""
+    r = CliffordElement.__new__(CliffordElement)
+    r.terms = {k: c for k, c in out.items() if c.terms}
+    return r
 
 
 class CliffordElement:
@@ -148,26 +199,13 @@ class CliffordElement:
 
     # -- algebra ----------------------------------------------------------
 
-    def _add_term(self, out, key, coeff):
-        v = out.get(key)
-        v = coeff if v is None else v + coeff
-        if v.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = v
-
     # an operand the algebra cannot coerce goes to its own reflected method
     def __add__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            self._add_term(out, k, c)
-        r = CliffordElement.__new__(CliffordElement)
-        r.terms = out
-        return r
+        return _element(_add(_add({}, self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -185,30 +223,7 @@ class CliffordElement:
             return self.map_scalars(lambda c: c * c0)
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        out = {}
-        for (m1, e1), c1 in self.terms.items():
-            for (m2, e2), c2 in other.terms.items():
-                endo = e1 + e2
-                if len(endo) > 2:
-                    raise ValueError(
-                        "endomorphism word of length %d; the residue "
-                        "computation never needs more than two factors" % len(endo)
-                    )
-                # c is a new Scalar, so the first one at a key takes later
-                # products in place
-                c = _product(c1, c2, _product_sign(m1, m2))
-                key = (m1 ^ m2, endo)
-                v = out.get(key)
-                if v is None:
-                    out[key] = c
-                    continue
-                for m, x in c.terms.items():
-                    _add_term(v.terms, m, x)
-                if not v.terms:
-                    del out[key]
-        r = CliffordElement.__new__(CliffordElement)
-        r.terms = out
-        return r
+        return _element(_mac({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -279,15 +294,16 @@ def _trace(elt, dim):
 
     With an even number of generators (6 spin, 12 exterior) every reduced
     nonempty word anticommutes with some generator and is traceless; each
-    empty-word term is scaled by dim times the trace of its endomorphisms,
-    a one-symbol monomial, so its packed key adds to each monomial.
+    empty-word term is scaled by dim, on the coefficient's integers, times
+    the trace of its endomorphisms, a one-symbol monomial, so its packed
+    key adds to each monomial.
     """
     out = {}
     for (mask, endo), c in elt.terms.items():
         if not mask:
             t = _encode([(_endo_trace_symbol(endo), 1)])
             for m, x in c.terms.items():
-                _add_term(out, m + t, x * dim)
+                _add_term(out, m + t, _grat(x.a * dim, x.b * dim, x.d))
     return _scalar(out)
 
 

@@ -30,6 +30,13 @@ in _sym_rank order, so the field order never shows.
 
 Everything downstream (Clifford elements, rational symbols) keeps its
 coefficients in this ring, so the whole pipeline is exact.
+
+Coefficients are built by _grat, which reduces by the three-way gcd; at
+d == 1, the case of most coefficients the engine builds, the triple is
+already in lowest terms and goes in as it is.  Sums and products
+accumulate in place: _add_term and _mac add into a term dict, so a chain
+of them builds no intermediate Scalar.  Such a dict belongs to the caller
+that made it; a Scalar's own terms are never added into.
 """
 
 import sys
@@ -69,8 +76,11 @@ def _as_fraction(x):
 
 def _grat(a, b, d):
     """The GRat (a + b*i)/d in lowest terms, for integers a, b and d > 0."""
-    g = gcd(a, b, d)
     x = object.__new__(GRat)
+    if d == 1:
+        x.a, x.b, x.d = a, b, 1
+        return x
+    g = gcd(a, b, d)
     x.a, x.b, x.d = a // g, b // g, d // g
     return x
 
@@ -273,16 +283,34 @@ def _add_term(out, m, c):
         del out[m]
 
 
-def _product(s, t, sign=1):
-    """The Scalar sign * s * t, sign +1 or -1: monomials multiply by int
-    addition, coefficients on the GRat integers."""
-    out = {}
-    for m1, x in s.terms.items():
-        a, b = sign * x.a, sign * x.b
-        for m2, y in t.terms.items():
-            _add_term(out, m1 + m2, _grat(a * y.a - b * y.b,
-                                          a * y.b + b * y.a, x.d * y.d))
-    return _scalar(out)
+def _at_one(out, terms, sym):
+    """out += terms with sym set to 1, and return out: each monomial loses
+    sym's field and keeps its coefficient, so no GRat is built."""
+    s = _SHIFT[sym]
+    for m, c in terms.items():
+        _add_term(out, m - (_exponent(m, sym) << s), c)
+    return out
+
+
+def _mac(out, s, t, sign=1):
+    """out += sign * s * t on term dicts, sign +1 or -1, and return out:
+    monomials multiply by int addition, coefficients on the GRat
+    integers, and a zero sum drops its monomial."""
+    for m1, x in s.items():
+        a, b, d = sign * x.a, sign * x.b, x.d
+        for m2, y in t.items():
+            m = m1 + m2
+            c = _grat(a * y.a - b * y.b, a * y.b + b * y.a, d * y.d)
+            v = out.get(m)  # _add_term(out, m, c), inlined
+            if v is None:
+                out[m] = c
+                continue
+            c = _gadd(v, c)
+            if c.a or c.b:
+                out[m] = c
+            else:
+                del out[m]
+    return out
 
 
 class Scalar:
@@ -309,10 +337,6 @@ class Scalar:
     def from_grat(cls, c):
         c = _coerce(c)
         return _scalar({0: c} if c else {})
-
-    @classmethod
-    def one(cls):
-        return cls.from_grat(1)
 
     @classmethod
     def i(cls):
@@ -354,7 +378,7 @@ class Scalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return _product(self, other)
+        return _scalar(_mac({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -416,7 +440,8 @@ class Scalar:
                                  % (len(rep.terms), rep, s))
             if s in _SHIFT:
                 rm, k = next(iter(rep.terms.items()), (0, GRat()))
-                reps.append((s, rm - (1 << _SHIFT[s]), k))
+                # a unit coefficient multiplies nothing
+                reps.append((s, rm - (1 << _SHIFT[s]), k if k != 1 else None))
         out = {}
         for m0, c in self.terms.items():
             m = m0
@@ -424,7 +449,7 @@ class Scalar:
                 e = _exponent(m0, s)
                 if e:
                     m += e * dm
-                    if k != 1:  # SH = 1 at restriction multiplies nothing
+                    if k is not None:
                         c = c * k ** e if e > 0 else c / k ** -e
             if c:
                 _add_term(out, m, c)
@@ -512,8 +537,9 @@ def sphere_moment(exps):
 def sphere_integrate(s):
     """Integrate a Scalar over the unit sphere in the tangential covariables.
 
-    XI-monomials are replaced by their exact moments times OMEGA4; all
-    other symbols pass through as spectators.
+    XI-monomials are replaced by their exact moments times OMEGA4, each
+    coefficient scaled on its integers; all other symbols pass through as
+    spectators.
     """
     out = {}
     for m, c in s.terms.items():
@@ -522,5 +548,7 @@ def sphere_integrate(s):
         if mom:
             for x, e in zip(XI_SYMBOLS, exps):
                 m -= e << _SHIFT[x]
-            _add_term(out, m + (1 << _SHIFT["OMEGA4"]), c * mom)
+            p, q = mom.numerator, mom.denominator
+            _add_term(out, m + (1 << _SHIFT["OMEGA4"]),
+                      _grat(c.a * p, c.b * p, c.d * q))
     return _scalar(out)

@@ -31,14 +31,23 @@ _pole_weights for each numerator power, serves pi_plus and
 integrate_line: the projection scales every numerator coefficient by all
 of its weights, the line integral by the last one, the residue.  Nothing
 expands at -i: the tests' pi_minus is pi_plus reflected in xi_n.
+
+Products and sums accumulate in place: a polynomial accumulator is a list
+of clifford accumulators, one term dict per xi_n power, that _poly_mac and
+_poly_acc add into and _poly turns back into a coefficient list.  As in
+clifford, an accumulator holds only Scalars that it made, so no operand
+changes.  A constant factor (a pole weight, 2*pi*i, the -q of the quotient
+rule) is applied once, to the smaller operand or on the integers.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .clifford import CliffordElement
-from .ring import GRat, Scalar
+from .clifford import CliffordElement, _add, _element, _mac
+from .ring import (GRat, Scalar, _add_term, _at_one, _encode, _grat,
+                   _scalar)
+from .ring import _mac as _coeff_mac
 
 __all__ = [
     "RationalSymbol",
@@ -63,28 +72,36 @@ def _trim(p):
     return p
 
 
+def _poly(acc):
+    """The coefficient list of a polynomial accumulator, trimmed."""
+    return _trim([_element(t) for t in acc])
+
+
+def _poly_acc(acc, p):
+    """acc += p, and return acc."""
+    acc.extend({} for _ in range(len(p) - len(acc)))
+    for t, c in zip(acc, p):
+        _add(t, c.terms)
+    return acc
+
+
+def _poly_mac(acc, p, q):
+    """acc += p * q, and return acc."""
+    acc.extend({} for _ in range(len(p) + len(q) - 1 - len(acc)))
+    for i, a in enumerate(p):
+        if a.terms:
+            for j, b in enumerate(q):
+                if b.terms:
+                    _mac(acc[i + j], a.terms, b.terms)
+    return acc
+
+
 def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for k in range(n):
-        a = p[k] if k < len(p) else CE.zero()
-        b = q[k] if k < len(q) else CE.zero()
-        out.append(a + b)
-    return _trim(out)
+    return _poly(_poly_acc(_poly_acc([], p), q))
 
 
 def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [CE.zero() for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return _trim(out)
+    return _poly(_poly_mac([], p, q))
 
 
 def _poly_scale(p, s):
@@ -130,6 +147,31 @@ def b0_scalar():
 def b_poly():
     """|xi|^2 = |xi'|^2 + xi_n^2 as a xi_n-polynomial."""
     return [CE.scalar(b0_scalar()), CE.zero(), CE.one()]
+
+
+# the derivation of xi_n-polynomials for each variable
+_DERIVATIONS = {"xin": _poly_deriv,
+                "xn": lambda p: _poly_map(p, Scalar.d_xn)}
+_PI = _encode([("PI", 1)])
+
+
+@lru_cache(maxsize=None)
+def _d_b(var):
+    """d(|xi|^2) for the derivation in var, built on first use."""
+    return tuple(_DERIVATIONS[var](b_poly()))
+
+
+def _symbol(restricted, acc):
+    """The RationalSymbol of {key: polynomial accumulator}; a key whose
+    numerator cancels is dropped."""
+    r = RationalSymbol.__new__(RationalSymbol)
+    r.restricted = restricted
+    r.terms = {}
+    for k, a in acc.items():
+        p = _poly(a)
+        if p:
+            r.terms[k] = p
+    return r
 
 
 class RationalSymbol:
@@ -204,16 +246,15 @@ class RationalSymbol:
             return self.__rmul__(other)  # central scalars commute
         other = self._coerce(other)
         self._same_phase(other)
-        out = {}
+        acc = {}
         for k1, p1 in self.terms.items():
             for k2, p2 in other.terms.items():
                 if self.restricted:
                     k = (k1[0] + k2[0], k1[1] + k2[1])
                 else:
                     k = k1 + k2
-                prod = _poly_mul(p1, p2)
-                out[k] = _poly_add(out.get(k, []), prod)
-        return RationalSymbol(self.restricted, out)
+                _poly_mac(acc.setdefault(k, []), p1, p2)
+        return _symbol(self.restricted, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GRat, Scalar, CE)):
@@ -233,23 +274,19 @@ class RationalSymbol:
             raise ValueError("unknown derivative variable %r" % (var,))
         if self.restricted:
             raise ValueError("%s derivative after restriction is lost" % var)
-        if var == "xin":
-            return self._quotient_rule(_poly_deriv)
-        return self._quotient_rule(lambda p: _poly_map(p, Scalar.d_xn))
+        return self._quotient_rule(_DERIVATIONS[var], _d_b(var))
 
-    def _quotient_rule(self, d):
+    def _quotient_rule(self, d, dB):
         """d(p/B^q) = d(p)/B^q - q d(B) p/B^(q+1), with B = |xi|^2.
 
-        d is a derivation of xi_n-polynomials; d(B) is d applied to B.
+        d is a derivation of xi_n-polynomials and dB is d(B).
         """
-        dB = d(b_poly())
-        out = {}
+        acc = {}
         for q, p in self.terms.items():
-            out[q] = _poly_add(out.get(q, []), d(p))
+            _poly_acc(acc.setdefault(q, []), d(p))
             if q:
-                out[q + 1] = _poly_add(out.get(q + 1, []),
-                                       _poly_scale(_poly_mul(dB, p), -q))
-        return RationalSymbol(False, out)
+                _poly_mac(acc.setdefault(q + 1, []), _poly_scale(dB, -q), p)
+        return _symbol(False, acc)
 
     def restrict(self):
         """Evaluate at the boundary on the unit tangential sphere.
@@ -260,14 +297,10 @@ class RationalSymbol:
         """
         if self.restricted:
             return self
-        one = Scalar.one()
-        out = {}
-        for q, p in self.terms.items():
-            rp = _poly_map(p, lambda s: s.substitute({"SH": one}))
-            if rp:
-                key = (q, q)
-                out[key] = _poly_add(out.get(key, []), rp)
-        return RationalSymbol(True, out)
+        return _symbol(True, {
+            (q, q): [{k: _scalar(_at_one({}, c.terms, "SH"))
+                      for k, c in ce.terms.items()} for ce in p]
+            for q, p in self.terms.items()})
 
     def __repr__(self):
         phase = "restricted" if self.restricted else "unrestricted"
@@ -286,17 +319,14 @@ def pi_plus(sym):
         raise ValueError("principal parts require the restricted phase")
     if any(len(p) > a + b for (a, b), p in sym.terms.items()):
         raise ValueError("principal part of a non-proper symbol")
-    out = {}
+    acc = {}
     for (a, b), p in sym.terms.items():
-        part = [CE.zero()] * a
+        part = [acc.setdefault((a - t, 0), [{}])[0] for t in range(a)]
         for d, c in enumerate(p):
             for t, w in enumerate(_pole_weights(a, b, d)):
                 if w:
-                    part[t] = part[t] + c * w
-        for t, c in enumerate(part):
-            key = (a - t, 0)
-            out[key] = _poly_add(out.get(key, []), [c])
-    return RationalSymbol(True, out)
+                    _mac(part[t], c.terms, {(0, ()): _scalar({0: w})})
+    return _symbol(True, acc)
 
 
 def integrate_line(sym):
@@ -314,18 +344,20 @@ def integrate_line(sym):
     if any(m or e for p in sym.terms.values() for ce in p for m, e in ce.terms):
         raise ValueError("integrate_line needs scalar coefficients; "
                          "take the trace first")
-    zero = Scalar.zero()
-    residue = tail = zero
+    residue, tail = {}, {}
     for (a, b), p in sym.terms.items():
-        p = [ce.terms.get((0, ()), zero) for ce in p]
         if len(p) > a + b:
             raise NotIntegrable("term of xi_n-degree %d over (xi_n - i)^%d "
                                 "(xi_n + i)^%d" % (len(p) - 1, a, b))
-        if len(p) == a + b:
-            tail = tail + p[-1]
+        p = [ce.terms.get((0, ())) for ce in p]
+        if len(p) == a + b and p[-1] is not None:
+            for m, x in p[-1].terms.items():
+                _add_term(tail, m, x)
         for d, c in enumerate(p):
-            if a and c.terms:
-                residue = residue + c * _pole_weights(a, b, d)[-1]
-    if tail.terms:
+            w = _pole_weights(a, b, d)[-1] if a and c is not None else None
+            if w:  # 2*pi*i*w, as the coefficient of PI
+                _coeff_mac(residue, c.terms, {_PI: _grat(-2 * w.b, 2 * w.a,
+                                                          w.d)})
+    if tail:
         raise NotIntegrable("integrand decays like |xi_n|^-1")
-    return Scalar.sym("PI") * (residue * GRat(0, 2))
+    return _scalar(residue)

@@ -101,7 +101,7 @@ def reduce_unit_sphere(s):
     exponent is at most 1 everywhere.  Only meaningful after restriction
     to the boundary sphere (SH already set to 1).
     """
-    rep = Scalar.one()
+    rep = Scalar.from_grat(1)
     for name in XI_SYMBOLS[:4]:
         rep = rep - Scalar.sym(name, 2)
     out = Scalar.zero()

@@ -1,12 +1,13 @@
 """Boundary-case enumeration and exact evaluation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from references import paper_value
-from wresbd import boundary
+from wresbd import boundary, ring, symbols
 from wresbd.boundary import (CASES, _pair_value, _trace_symbol, assemble,
                              case_factor_pairs, evaluate_case, substitute_K)
 from wresbd.catalog import FAMILIES
@@ -103,6 +104,46 @@ def test_assemble_equals_sum_of_cases(fam):
     assert (acc - total).is_zero()
 
 
+def _rendered(fam):
+    results, total = assemble(fam)
+    return total.render(), [
+        (cid, r.value.render(), {b: v.render() for b, v in r.blocks.items()})
+        for cid, r in results.items()]
+
+
+def test_assemble_twice_renders_the_same():
+    # the cached d|xi|^2 and pole weights serve every run: a run that added
+    # into one of them would change the next
+    first = [_rendered(fam) for fam in FAMS]
+    assert [_rendered(fam) for fam in FAMS] == first
+
+
+# ring._grat calls, each one coefficient built, by assemble() of both
+# families from cold caches: 31,121 while products and sums built
+# intermediate Scalars, 24,432 since they accumulate in place
+_GRAT_CALLS_BOUND = 24432
+
+
+def test_assemble_coefficient_count():
+    # a profile hook on the code object counts every call, whatever name
+    # a module imported _grat under
+    code, calls = ring._grat.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    symbols._pole_weights.cache_clear()
+    symbols._d_b.cache_clear()
+    sys.setprofile(count)
+    try:
+        for fam in FAMS:
+            assemble(fam)
+    finally:
+        sys.setprofile(None)
+    assert 0 < len(calls) <= _GRAT_CALLS_BOUND
+
+
 @pytest.mark.parametrize(
     "fam,case_id,eq_id",
     [("dirac", "aI", "(3.12)"), ("dirac", "aII", "(3.18)"),
@@ -135,7 +176,7 @@ def test_twisted_blocks_match_reference_up_to_normalization(fam, case_id,
     case = {c.case_id: c for c in CASES}[case_id]
     got = evaluate_case(fam, case).blocks[block]
     ref = paper_value(fam, eq_id)
-    normalized = ref.substitute({"DIMF": Scalar.one()})
+    normalized = ref.substitute({"DIMF": Scalar.from_grat(1)})
     if eq_id == "(5.36)":
         normalized = normalized * Scalar.sym("PI")
     assert (got - normalized).is_zero()

@@ -42,7 +42,7 @@ def test_numeric_sphere_integral_matches_exact():
     xi = [Scalar.sym("XI%d" % j) for j in range(1, 6)]
     h1, dimf, t = Scalar.sym("H1"), Scalar.sym("DIMF"), Scalar.sym("T:Phi:2")
     scalars = [
-        Scalar.one(),
+        Scalar.from_grat(1),
         Scalar.sym("XI5", 4) * Scalar.rational(3, 7),
         xi[0] * xi[0] * h1 + xi[1] * xi[2] * dimf + Scalar.sym("XI5", 4) * t,
         (xi[0] + xi[4] * Scalar.from_grat(GRat(1, 2)))

@@ -10,8 +10,10 @@ from scipy.integrate import quad
 
 from references import (equal_on_sphere, equals, evaluate_symbol,
                         homogeneity_order, pi_minus)
+from wresbd.boundary import _trace_symbol
+from wresbd.catalog import FAMILIES
 from wresbd.clifford import CliffordElement as CE
-from wresbd.ring import GRat, Scalar
+from wresbd.ring import GRat, Scalar, sphere_integrate
 from wresbd.symbols import NotIntegrable, RationalSymbol, integrate_line, pi_plus
 
 
@@ -241,6 +243,11 @@ class TestIntegrateLine:
         assert integrate_line(s2) == Scalar.rational(1, 2) * Scalar.sym("PI")
         s3 = RationalSymbol(True, {(2, 1): [CE.one()]})
         assert integrate_line(s3) == Scalar.i() * Scalar.rational(1, 2) * Scalar.sym("PI")
+        # the xi_n term over (2, 2) has a zero residue weight: it is odd
+        s4 = RationalSymbol(True, {(2, 2): [CE.zero(), CE.one()]})
+        assert integrate_line(s4).is_zero()
+        s5 = RationalSymbol(True, {(2, 2): [CE.one(), CE.one()]})
+        assert integrate_line(s5) == Scalar.rational(1, 2) * Scalar.sym("PI")
 
     def test_no_upper_pole_is_zero(self):
         s = RationalSymbol(True, {(0, 2): [CE.one()]})
@@ -344,6 +351,74 @@ class TestRestriction:
         rng = random.Random(1)
         with pytest.raises(ValueError):
             random_unrestricted(rng) * random_restricted(rng)
+
+
+def _snapshot(x):
+    """The coefficients of x, copied down to each Scalar's term dict."""
+    if isinstance(x, Scalar):
+        return dict(x.terms)
+    if isinstance(x, CE):
+        return {k: dict(c.terms) for k, c in x.terms.items()}
+    return {k: [_snapshot(ce) for ce in p] for k, p in x.terms.items()}
+
+
+def _scalar_restricted(rng):
+    """A random restricted symbol with XI-carrying scalar coefficients."""
+    return random_restricted(rng, with_xi=True, clifford=False)
+
+
+def _line(sym):
+    try:
+        return integrate_line(sym)
+    except NotIntegrable:
+        return Scalar.zero()
+
+
+# each operation, on operands drawn by its maker; an operand may appear
+# twice, so that an accumulator seeded from the left one would add the
+# right one into it
+_OPERATIONS = {
+    "ce-product": (lambda a, b: a * b,
+                   lambda rng: [_random_ce(rng, True), _random_ce(rng, True)]),
+    "ce-square": (lambda a: a * a, lambda rng: [_random_ce(rng, True)]),
+    "symbol-product": (lambda a, b: a * b, lambda rng: [
+        random_restricted(rng, with_xi=True),
+        random_restricted(rng, with_xi=True)]),
+    "symbol-square": (lambda a: a * a, lambda rng: [random_unrestricted(rng)]),
+    "symbol-sum": (lambda a, b: a + b, lambda rng: [
+        random_restricted(rng, with_xi=True),
+        random_restricted(rng, with_xi=True)]),
+    "symbol-double": (lambda a: a + a,
+                      lambda rng: [random_restricted(rng, with_xi=True)]),
+    "derive-xn": (lambda a: a.derive("xn"),
+                  lambda rng: [random_unrestricted(rng)]),
+    "derive-xin": (lambda a: a.derive("xin"),
+                   lambda rng: [random_unrestricted(rng)]),
+    "restrict": (lambda a: a.restrict(),
+                 lambda rng: [random_unrestricted(rng)]),
+    "pi-plus": (pi_plus, lambda rng: [random_restricted(rng, with_xi=True)]),
+    "trace-symbol": (lambda a, b: _trace_symbol(FAMILIES["signature"], a, b),
+                     lambda rng: [random_restricted(rng, with_xi=True),
+                                  random_restricted(rng, with_xi=True)]),
+    "trace-self": (lambda a: _trace_symbol(FAMILIES["signature"], a, a),
+                   lambda rng: [random_restricted(rng, with_xi=True)]),
+    "line-integral": (_line, lambda rng: [_scalar_restricted(rng)]),
+    "sphere-integral": (sphere_integrate,
+                        lambda rng: [_line(_scalar_restricted(rng))]),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPERATIONS))
+def test_no_operand_is_changed(name):
+    # products and sums add into accumulators that hold only Scalars of
+    # their own, so every operand reads the same afterwards
+    op, make = _OPERATIONS[name]
+    rng = random.Random(name)
+    for _ in range(25):
+        args = make(rng)
+        before = [_snapshot(a) for a in args]
+        op(*args)
+        assert [_snapshot(a) for a in args] == before
 
 
 _UNRESTRICTED = RationalSymbol(False, {1: [CE.one()]})
