@@ -33,8 +33,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import CliffordElement as CE
-from .clifford import _element, _mac
 from .catalog import FAMILIES, cubed_sigma, first_order_sigma
+from .clifford import _element, _mac
 from .ring import GRat, Scalar, sphere_integrate
 from .symbols import RationalSymbol, integrate_line, pi_plus
 

@@ -218,10 +218,11 @@ class RationalSymbol:
     def __add__(self, other):
         other = self._coerce(other)
         self._same_phase(other)
-        out = {k: list(p) for k, p in self.terms.items()}
-        for k, p in other.terms.items():
-            out[k] = _poly_add(out.get(k, []), p)
-        return RationalSymbol(self.restricted, out)
+        acc = {}
+        for s in (self, other):
+            for k, p in s.terms.items():
+                _poly_acc(acc.setdefault(k, []), p)
+        return _symbol(self.restricted, acc)
 
     __radd__ = __add__
 

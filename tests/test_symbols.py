@@ -381,6 +381,9 @@ _OPERATIONS = {
     "ce-product": (lambda a, b: a * b,
                    lambda rng: [_random_ce(rng, True), _random_ce(rng, True)]),
     "ce-square": (lambda a: a * a, lambda rng: [_random_ce(rng, True)]),
+    "ce-sum": (lambda a, b: a + b,
+               lambda rng: [_random_ce(rng, True), _random_ce(rng, True)]),
+    "ce-double": (lambda a: a + a, lambda rng: [_random_ce(rng, True)]),
     "symbol-product": (lambda a, b: a * b, lambda rng: [
         random_restricted(rng, with_xi=True),
         random_restricted(rng, with_xi=True)]),
